@@ -17,8 +17,6 @@ the segment of valid dual positions.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,15 +193,15 @@ def hedberg_pointwise(
     if not (alpha > 0 and beta > 0):
         raise ValueError("alpha and beta must be positive")
     theta = alpha / (alpha + beta)
-    js = sorted(d.blocks)
-    if not js:
+    if d.blocks.shape[0] == 0:
         raise ValueError("decomposition has no blocks")
-    stack = np.stack([np.abs(d.blocks[j].samples) for j in js])
-    jarr = np.asarray(js, dtype=float)[:, None]
+    blocks = d.blocks.reshape(d.blocks.shape[0], -1)
+    stack = np.abs(blocks)
+    jarr = d.scales[:, None]
     a_alpha = np.max(2.0 ** (jarr * alpha) * stack, axis=0)
     a_beta = np.max(2.0 ** (-jarr * beta) * stack, axis=0)
     product = a_alpha ** (1.0 - theta) * a_beta**theta
-    block_sum = np.abs(sum(d.blocks[j].samples for j in js))
+    block_sum = np.abs(blocks.sum(axis=0))
     mask = product > 0.0
     empirical = float(np.max(block_sum[mask] / product[mask])) if mask.any() else 0.0
     bound = SampledField(d.grid, hedberg_constant(alpha, beta) * product)
@@ -341,10 +339,19 @@ def _bump(u: np.ndarray) -> np.ndarray:
 def _atom_row(
     x: np.ndarray, period: float, centers: np.ndarray, scale_j: int, amplitude: float
 ) -> np.ndarray:
+    """Periodic row of bumps at scale ``2**-scale_j``, each evaluated only on the
+    grid window over its support widened by one cell per side, so that the
+    result equals a full-grid evaluation bit for bit."""
+    n = x.size
+    cell = period / n
+    radius = 2.0**-scale_j
     total = np.zeros_like(x)
     for c in centers:
-        u = (x - c + period / 2.0) % period - period / 2.0
-        total += _bump(u * 2.0**scale_j)
+        lo = math.floor((c - radius) / cell) - 1
+        hi = math.ceil((c + radius) / cell) + 1
+        window = np.arange(lo, hi + 1)[:n] % n
+        u = (x[window] - c + period / 2.0) % period - period / 2.0
+        total[window] += _bump(u * 2.0**scale_j)
     return amplitude * total
 
 
@@ -452,8 +459,8 @@ def run_suite(
     """Measure the inequality ratio over ``count`` seeded random fields.
 
     Each instance draws its own child generator from the master seed, so
-    results are reproducible instance-by-instance and independent of the
-    thread count (set ``LPLORENTZ_THREADS`` to parallelize).
+    results are reproducible instance by instance: the first ``k`` reports
+    of a suite do not depend on ``count``.
     """
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}; expected one of {GENERATORS}")
@@ -463,20 +470,12 @@ def run_suite(
     j_min, j_max = _suite_scale_range(generator, grid)
     children = np.random.SeedSequence(seed).spawn(count)
 
-    def one(instance_id: int) -> VerificationReport:
-        rng = np.random.default_rng(children[instance_id])
-        field = generate_field(generator, rng, grid)
+    reports = []
+    for instance_id, child in enumerate(children):
+        field = generate_field(generator, np.random.default_rng(child), grid)
         d = decompose(field, _PROFILE, j_min, j_max)
         descriptor = f"{generator}[instance={instance_id}, seed={seed}, grid={grid_points}]"
-        return verify_case(case, d, instance_id, descriptor)
-
-    threads = int(os.environ.get("LPLORENTZ_THREADS", "1"))
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(one, range(count)))
-    else:
-        reports = [one(i) for i in range(count)]
-    reports.sort(key=lambda rep: rep.instance_id)
+        reports.append(verify_case(case, d, instance_id, descriptor))
     if not reports:
         return SuiteSummary(case, generator, count, grid_points, seed, [], None, None, None)
     worst = max(reports, key=lambda rep: rep.ratio)

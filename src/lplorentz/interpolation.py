@@ -38,6 +38,7 @@ __all__ = [
     "j_bound_constant",
     "j_bound",
     "j_method_norm",
+    "trivial_decomposition",
     "layer_cake_decompose",
     "layer_cake_constant",
     "layer_cake_bound_ratio",

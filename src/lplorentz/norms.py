@@ -301,11 +301,11 @@ def lebesgue_norm(v: MeasuredValues, p: float) -> float:
     return total ** (1.0 / p)
 
 
-def _grid_lp(arr: np.ndarray, p: float, cell_volume: float) -> float:
-    a = np.abs(arr)
+def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None):
+    """Grid ``L^p`` norm of the nonnegative array ``a``, reduced over ``axis``."""
     if p == _INF:
-        return float(a.max(initial=0.0))
-    return float((np.sum(a**p) * cell_volume) ** (1.0 / p))
+        return a.max(axis=axis, initial=0.0)
+    return (np.sum(a**p, axis=axis) * cell_volume) ** (1.0 / p)
 
 
 def _as_besov_params(params) -> BesovParams:
@@ -321,16 +321,11 @@ def besov_seminorm(d: BlockDecomposition, params) -> float:
     contribute, so constant fields have seminorm zero.
     """
     params = _as_besov_params(params)
-    cell = d.grid.cell_volume
-    weighted = [
-        2.0 ** (j * params.s) * _grid_lp(blk.samples, params.p, cell)
-        for j, blk in sorted(d.blocks.items())
-    ]
-    if not weighted:
-        return 0.0
+    rows = np.abs(d.blocks.reshape(d.blocks.shape[0], -1))
+    weighted = 2.0 ** (d.scales * params.s) * _grid_lp(rows, params.p, d.grid.cell_volume, axis=1)
     if params.q == _INF:
-        return float(max(weighted))
-    return float(np.sum(np.asarray(weighted) ** params.q) ** (1.0 / params.q))
+        return float(weighted.max(initial=0.0))
+    return float(np.sum(weighted**params.q) ** (1.0 / params.q))
 
 
 def triebel_seminorm(d: BlockDecomposition, params) -> float:
@@ -341,14 +336,10 @@ def triebel_seminorm(d: BlockDecomposition, params) -> float:
     Coincides with :func:`besov_seminorm` when ``p == q``.
     """
     params = _as_besov_params(params)
-    if not d.blocks:
-        return 0.0
-    js = sorted(d.blocks)
-    stack = np.stack([np.abs(d.blocks[j].samples) for j in js])
-    weights = 2.0 ** (np.asarray(js, dtype=float) * params.s)
-    weighted = stack * weights[:, None]
+    rows = np.abs(d.blocks.reshape(d.blocks.shape[0], -1))
+    weighted = rows * 2.0 ** (d.scales * params.s)[:, None]
     if params.q == _INF:
-        envelope = weighted.max(axis=0)
+        envelope = weighted.max(axis=0, initial=0.0)
     else:
         envelope = np.sum(weighted**params.q, axis=0) ** (1.0 / params.q)
-    return _grid_lp(envelope, params.p, d.grid.cell_volume)
+    return float(_grid_lp(envelope, params.p, d.grid.cell_volume))

@@ -93,10 +93,15 @@ class Atom:
     rearrangement: RearrangementProfile
 
     def evaluate(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        inside = np.abs(u) <= 1.0
-        vals = np.polynomial.polynomial.polyval(u, self.profile_coefficients)
-        return np.where(inside, vals, 0.0)
+        return _profile_values(self.profile_coefficients, u)
+
+
+def _profile_values(coefficients, u) -> np.ndarray:
+    """The polynomial with ascending ``coefficients`` on ``[-1, 1]``, zero outside."""
+    u = np.asarray(u, dtype=float)
+    inside = np.abs(u) <= 1.0
+    vals = np.polynomial.polynomial.polyval(u, coefficients)
+    return np.where(inside, vals, 0.0)
 
 
 def _polynomial_moment(poly: Polynomial, order: int) -> float:
@@ -429,15 +434,17 @@ def rasterize(s: AtomicSum, grid: GridSpec) -> SampledField:
 
 
 @lru_cache(maxsize=64)
-def _atom_besov_calibration(atom: Atom, s: float, q: float, r: float) -> float:
+def _atom_besov_calibration(coefficients: tuple[float, ...], s: float, q: float, r: float) -> float:
     """Seminorm of a single unit atom at scale 0, measured on a reference grid.
 
     This is the atom-dependent constant multiplying the closed-form scale sum
-    in :func:`atomic_besov_upper`; it is cached per (atom, space).
+    in :func:`atomic_besov_upper`.  The atom enters only through its profile
+    coefficients, so the cache is keyed on them and on the space: every atom
+    :func:`build_atom` makes from the same parameters shares one entry.
     """
     grid = GridSpec(1, 4096, 8.0)
     x = grid.axis_coordinates()
-    field = SampledField(grid, atom.evaluate(x - 4.0))
+    field = SampledField(grid, _profile_values(coefficients, x - 4.0))
     d = decompose(field, make_cutoff_profile(1.0), -2, 9)
     return besov_seminorm(d, BesovParams(s, q, r))
 
@@ -470,7 +477,7 @@ def atomic_besov_upper(s: AtomicSum, spaceparams) -> float:
         scale_sum = 2.0**m
     else:
         scale_sum = 2.0 ** (m + math.log2(float(np.sum(2.0 ** (r * (exps - m))))) / r)
-    constant = _atom_besov_calibration(s.atom, spaceparams.s, q, r)
+    constant = _atom_besov_calibration(tuple(s.atom.profile_coefficients.tolist()), spaceparams.s, q, r)
     return constant * scale_sum
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -190,34 +190,46 @@ def make_cutoff_profile(transition_sharpness: float = 1.0) -> CutoffProfile:
 class BlockDecomposition:
     """Dyadic frequency blocks of a sampled field plus the lowpass remainder.
 
-    ``blocks[j]`` carries the spectrum weighted by ``psi(|xi| / 2**j)`` (hence
-    supported in ``2**(j-1) <= |xi| <= 2**(j+1)``); ``lowpass`` carries
-    ``phi(|xi| / 2**j_min)``.  ``lowpass + sum(blocks)`` reconstructs the
-    original field up to the residual above ``2**(j_max + 1)``.
+    ``blocks`` has shape ``(J, *grid shape)``, ``J = j_max - j_min + 1``, in
+    scale order: row ``i`` is block ``j = j_min + i`` (see :attr:`scales`), the
+    spectrum weighted by ``psi(|xi| / 2**j)`` (hence supported in
+    ``2**(j-1) <= |xi| <= 2**(j+1)``).  ``lowpass``, of grid shape, carries
+    ``phi(|xi| / 2**j_min)``.  ``lowpass + blocks.sum(axis=0)`` reconstructs
+    the original field up to the residual above ``2**(j_max + 1)``.
     """
 
     grid: GridSpec
     j_min: int
     j_max: int
-    blocks: dict[int, SampledField]
-    lowpass: SampledField
+    blocks: np.ndarray
+    lowpass: np.ndarray
 
-    def block_indices(self) -> list[int]:
-        return sorted(self.blocks)
+    def __post_init__(self) -> None:
+        shape = (self.grid.points_per_axis,) * self.grid.dim
+        if self.blocks.shape != (self.j_max - self.j_min + 1, *shape) or self.lowpass.shape != shape:
+            raise ValueError(f"blocks and lowpass do not fit scales [{self.j_min}, {self.j_max}] on {shape}")
+
+    @property
+    def scales(self) -> np.ndarray:
+        """Scale index ``j`` of each row of ``blocks``, as floats."""
+        return np.arange(self.j_min, self.j_max + 1, dtype=float)
 
 
 @functools.lru_cache(maxsize=64)
-def _multiplier_stack(grid: GridSpec, profile: CutoffProfile, j_min: int, j_max: int):
-    """Cached lowpass multiplier and stacked block multipliers for a grid."""
+def _multiplier_stack(grid: GridSpec, profile: CutoffProfile, j_min: int, j_max: int) -> np.ndarray:
+    """Cached Fourier multipliers: the lowpass in row 0, then the blocks ``j_min..j_max``."""
     mags = grid.frequency_magnitudes()
-    low = profile.lowpass_multiplier(j_min, mags)
-    stack = np.stack([profile.block_multiplier(j, mags) for j in range(j_min, j_max + 1)])
-    return low, stack
+    rows = [profile.lowpass_multiplier(j_min, mags)]
+    rows += [profile.block_multiplier(j, mags) for j in range(j_min, j_max + 1)]
+    return np.stack(rows)
 
 
 def decompose(f: SampledField, profile: CutoffProfile, j_min: int, j_max: int) -> BlockDecomposition:
     """Split a field into dyadic frequency blocks ``j_min..j_max`` plus lowpass.
 
+    One FFT of the field and one batched inverse FFT of the stacked spectra
+    (lowpass, then blocks in increasing ``j``) give every output; the blocks
+    are returned as one ``(J, *grid shape)`` array in that scale order.
     Requires ``j_min < j_max`` and ``2**(j_max + 1)`` within the grid's
     Nyquist frequency, so that the top annulus is representable.
     """
@@ -228,26 +240,16 @@ def decompose(f: SampledField, profile: CutoffProfile, j_min: int, j_max: int) -
         raise ValueError(
             f"top block frequency 2**{j_max + 1} exceeds the grid Nyquist frequency {grid.nyquist:g}"
         )
-    low, stack = _multiplier_stack(grid, profile, j_min, j_max)
-    spectrum = np.fft.fftn(f.as_array(), norm="ortho")
-    low_field = SampledField.from_array(grid, np.fft.ifftn(low * spectrum, norm="ortho").real)
-    if grid.dim == 1:
-        block_arrays = np.fft.ifft(stack * spectrum[None, :], axis=1, norm="ortho").real
-    else:
-        block_arrays = np.fft.ifft2(stack * spectrum[None, :, :], axes=(1, 2), norm="ortho").real
-    blocks = {
-        j: SampledField.from_array(grid, block_arrays[idx])
-        for idx, j in enumerate(range(j_min, j_max + 1))
-    }
-    return BlockDecomposition(grid, j_min, j_max, blocks, low_field)
+    # Complex transforms keep each output bit-identical to a separate per-block
+    # transform, so fields whose ratios tie up to rounding keep their order.
+    spectra = _multiplier_stack(grid, profile, j_min, j_max) * np.fft.fftn(f.as_array(), norm="ortho")
+    fields = np.fft.ifftn(spectra, axes=tuple(range(1, grid.dim + 1)), norm="ortho").real.copy()
+    return BlockDecomposition(grid, j_min, j_max, fields[1:], fields[0])
 
 
 def reconstruct(d: BlockDecomposition) -> SampledField:
-    """Sum the lowpass field and every block back into a single field."""
-    total = d.lowpass.samples.copy()
-    for block in d.blocks.values():
-        total += block.samples
-    return SampledField(d.grid, total)
+    """Add the blocks, in scale order, to the lowpass field."""
+    return SampledField(d.grid, sum(d.blocks, d.lowpass))
 
 
 def lowest_scale_for_dc_only(grid: GridSpec) -> int:

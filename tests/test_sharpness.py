@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from lplorentz import sharpness
 from lplorentz.norms import (
     BesovParams,
     LorentzParams,
@@ -236,6 +237,19 @@ class TestClosedFormNorms:
         assert value > 0.0
         # Tuple parameters are accepted too and give the identical number.
         assert atomic_besov_upper(single, (0.25, 1.0, 2.0)) == value
+
+    def test_calibration_shared_by_atoms_built_alike(self, monkeypatch):
+        # Each CLI call builds a fresh atom object; once one atom with the
+        # same profile has been calibrated in a space, no decomposition runs.
+        space = BesovParams(0.25, 1.0, 2.0)
+        first = atomic_besov_upper(AtomicSum(build_atom(2), 1, 0.0, (0,), (1.0,)), space)
+        calls = []
+        monkeypatch.setattr(
+            sharpness, "decompose", lambda *args: calls.append(args) or decompose(*args)
+        )
+        second = atomic_besov_upper(AtomicSum(build_atom(2), 1, 0.0, (0,), (1.0,)), space)
+        assert second == first
+        assert calls == []
 
     def test_equal_contribution_constancy_in_all_four_spaces(self):
         # With the solved exponents, every scale contributes the same amount,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lplorentz.spectral import (
+    BlockDecomposition,
     GridSpec,
     SampledField,
     decompose,
@@ -102,7 +103,44 @@ class TestCutoffProfile:
         assert np.allclose(total, profile.phi(rho / 2.0**9), atol=1e-15)
 
 
+def per_block_decomposition(f, profile, j_min, j_max):
+    """Reference decomposition: one FFT, then a separate inverse FFT for the
+    lowpass and for each block, keeping the real part."""
+    mags = f.grid.frequency_magnitudes()
+    spectrum = np.fft.fftn(f.as_array(), norm="ortho")
+    lowpass = np.fft.ifftn(profile.lowpass_multiplier(j_min, mags) * spectrum, norm="ortho").real
+    blocks = [
+        np.fft.ifftn(profile.block_multiplier(j, mags) * spectrum, norm="ortho").real
+        for j in range(j_min, j_max + 1)
+    ]
+    return np.stack(blocks), lowpass
+
+
 class TestDecomposition:
+    @pytest.mark.parametrize(
+        "grid, band_hi, j_max",
+        [(GridSpec(1, 1024, TWO_PI), 600.0, 8), (GridSpec(2, 64, TWO_PI), 50.0, 4)],
+    )
+    def test_stacked_transform_matches_per_block_reference(self, grid, band_hi, j_max):
+        rng = np.random.default_rng(13)
+        f = random_band_limited_field(grid, 0.0, band_hi, rng)
+        profile = make_cutoff_profile(1.0)
+        d = decompose(f, profile, 0, j_max)
+        blocks, lowpass = per_block_decomposition(f, profile, 0, j_max)
+        shape = (grid.points_per_axis,) * grid.dim
+        assert d.blocks.shape == (j_max + 1, *shape) and d.lowpass.shape == shape
+        assert np.array_equal(d.scales, np.arange(0, j_max + 1))
+        # One stacked inverse transform gives the per-block results bit for bit.
+        assert np.array_equal(d.blocks, blocks)
+        assert np.array_equal(d.lowpass, lowpass)
+
+    def test_layout_mismatch_rejected(self):
+        grid = GridSpec(1, 64, TWO_PI)
+        with pytest.raises(ValueError):
+            BlockDecomposition(grid, 0, 3, np.zeros((3, 64)), np.zeros(64))
+        with pytest.raises(ValueError):
+            BlockDecomposition(grid, 0, 3, np.zeros((4, 64)), np.zeros(32))
+
     def test_round_trip_is_exact_1d(self):
         grid = GridSpec(1, 2048, TWO_PI)
         rng = np.random.default_rng(7)
@@ -124,7 +162,7 @@ class TestDecomposition:
         x = grid.axis_coordinates()
         f = SampledField(grid, np.cos(16.0 * x))
         d = decompose(f, make_cutoff_profile(1.0), 0, 8)
-        energies = {j: float(np.sum(b.samples**2)) for j, b in d.blocks.items()}
+        energies = {j: float(np.sum(b**2)) for j, b in zip(range(d.j_min, d.j_max + 1), d.blocks)}
         # frequency 16 = 2**4 sits exactly at the peak of block 4
         assert energies[4] == pytest.approx(np.sum(f.samples**2), rel=1e-12)
         for j, en in energies.items():
@@ -137,8 +175,8 @@ class TestDecomposition:
         f = random_band_limited_field(grid, 1.0, 200.0, rng)
         d = decompose(f, make_cutoff_profile(1.0), 0, 8)
         mags = grid.frequency_magnitudes()
-        for j, block in d.blocks.items():
-            spectrum = np.fft.fftn(block.samples, norm="ortho")
+        for j, block in zip(range(d.j_min, d.j_max + 1), d.blocks):
+            spectrum = np.fft.fftn(block, norm="ortho")
             outside = (mags <= 2.0 ** (j - 1)) | (mags >= 2.0 ** (j + 1))
             assert np.max(np.abs(spectrum[outside])) <= 1e-12 * (1.0 + np.max(np.abs(spectrum)))
 
@@ -149,15 +187,15 @@ class TestDecomposition:
         x = grid.axis_coordinates()
         f = SampledField(grid, np.sin(3.0 * x) + 0.25 * np.cos(7.0 * x))
         d = decompose(f, make_cutoff_profile(1.0), j_min, 7)
-        assert np.max(np.abs(d.lowpass.samples)) <= 1e-14
+        assert np.max(np.abs(d.lowpass)) <= 1e-14
 
     def test_lowpass_is_exact_mean_for_constant(self):
         grid = GridSpec(1, 256, TWO_PI)
         f = SampledField(grid, np.full(256, 2.5))
         d = decompose(f, make_cutoff_profile(1.0), 0, 6)
-        assert np.allclose(d.lowpass.samples, 2.5, atol=1e-13)
-        for block in d.blocks.values():
-            assert np.max(np.abs(block.samples)) <= 1e-13
+        assert np.allclose(d.lowpass, 2.5, atol=1e-13)
+        for block in d.blocks:
+            assert np.max(np.abs(block)) <= 1e-13
 
     def test_scale_range_validation(self):
         grid = GridSpec(1, 256, TWO_PI)
@@ -176,7 +214,7 @@ class TestDecomposition:
         x = grid.axis_coordinates()
         f = SampledField(grid, np.sin(2.0 * math.pi * x / 16.0))
         d = decompose(f, make_cutoff_profile(1.0), j_min, 8)
-        assert np.max(np.abs(d.lowpass.samples)) <= 1e-14
+        assert np.max(np.abs(d.lowpass)) <= 1e-14
 
 
 class TestBandLimitedGenerator:
