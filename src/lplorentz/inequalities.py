@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import BesovParams, LorentzParams, MeasuredValues, besov_seminorm, lorentz_norm
+from .norms import BesovParams, LorentzParams, MeasuredValues, _inv, besov_seminorm, lorentz_norm
 from .spectral import (
     BlockDecomposition,
     CutoffProfile,
@@ -51,10 +51,6 @@ __all__ = [
 ]
 
 _INF = math.inf
-
-
-def _inv(x: float) -> float:
-    return 0.0 if x == _INF else 1.0 / x
 
 
 def _check_exponent(name: str, value: float) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 from .norms import (
     LorentzParams,
     MeasuredValues,
+    _inv,
     conjugate_exponent,
     lebesgue_norm,
     lorentz_norm,
@@ -52,10 +53,6 @@ __all__ = [
 _INF = math.inf
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _inv(x: float) -> float:
-    return 0.0 if x == _INF else 1.0 / x
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,11 @@ def _check_exponent(name: str, value: float, *, low: float = 1.0, allow_inf: boo
     return value
 
 
+def _inv(x: float) -> float:
+    """Reciprocal ``1 / x`` with ``1 / inf = 0``."""
+    return 0.0 if x == _INF else 1.0 / x
+
+
 def conjugate_exponent(r: float) -> float:
     """Dual exponent ``r / (r - 1)`` with the limit conventions 1 <-> inf."""
     r = _check_exponent("exponent", r)
@@ -214,11 +219,15 @@ def rearrangement(v: MeasuredValues) -> RearrangementProfile:
     pos = v.values > 0
     values = v.values[pos]
     masses = v.masses[pos]
+    order = np.argsort(values)[::-1]
+    return _profile_from_sorted(values[order], masses[order])
+
+
+def _profile_from_sorted(values: np.ndarray, masses: np.ndarray) -> RearrangementProfile:
+    """Step profile of positive ``values`` already sorted in decreasing order:
+    equal values merge into one step carrying their summed mass."""
     if values.size == 0:
         return RearrangementProfile(np.empty(0), np.empty(0))
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    masses = masses[order]
     starts = np.concatenate(([0], np.flatnonzero(np.diff(values)) + 1))
     group_values = values[starts]
     group_masses = np.add.reduceat(masses, starts)

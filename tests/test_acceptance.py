@@ -242,7 +242,8 @@ class TestAcceptance:
         )
 
     def test_8_atomic_oracle_equivalence(self):
-        # The exact distribution and pairing closed forms agree with
+        # The distribution (an exact merge of the atom's 4096-midpoint
+        # sampled profile) and the pairing closed form agree with
         # brute-force rasterization at grid 2**12 for L <= 3: integrated
         # rearrangement-profile distance, Lorentz norms, and the pairing
         # quadrature all within 2%.

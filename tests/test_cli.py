@@ -309,6 +309,15 @@ class TestSharpnessCommand:
         assert code == 1
         assert "failure:" in captured.err
 
+    def test_float_range_exhaustion_is_runtime_failure(self, capsys):
+        # From scale 1075 on the masses 2**(-j) underflow, and at scale 2048 the
+        # counts 2**(delta*j) overflow: a runtime failure (exit 1), not a bad
+        # flag (exit 2).
+        code = main(self.CANONICAL + ["--Lmax", "2048"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert any(line.startswith("failure:") for line in captured.err.splitlines())
+
 
 class TestEmitReport:
     def test_empty_records_give_header_only_csv(self, capsys):

@@ -1,7 +1,8 @@
 """Tests for the extremal atomic families and the growth experiment.
 
-Everything the growth experiment consumes is a closed form; the rasterization
-oracle appears here only to cross-check those closed forms on small instances.
+The growth experiment consumes closed forms and distributions merged from the
+atom's sampled rearrangement; the rasterization oracle appears here only to
+cross-check those on small instances.
 """
 
 import math
@@ -17,6 +18,7 @@ from lplorentz.norms import (
     besov_seminorm,
     conjugate_exponent,
     lorentz_norm,
+    rearrangement,
 )
 from lplorentz.sharpness import (
     AtomicSum,
@@ -45,6 +47,27 @@ PROFILE = make_cutoff_profile(1.0)
 def canonical_params(r0=2.0, r1=2.0, r=None, q0=1.0, q1=INF):
     """n = 1, alpha = beta = 1/4: delta = 1/2, X = Y = 1/4 for (q0, q1) = (1, inf)."""
     return build_params(1, 0.25, 0.25, q0, q1, r0, r1, r=r)
+
+
+def reference_distribution(s):
+    """Per-sum reference: every per-scale entry of ``s`` concatenated and
+    rearranged from scratch."""
+    base = s.atom.rearrangement
+    widths = np.diff(np.concatenate(([0.0], base.cum_masses)))
+    values = [base.values * s.coefficient(j) for j in s.scales]
+    masses = [widths * (c * 2.0 ** (-j * s.n)) for j, c in zip(s.scales, s.counts)]
+    return rearrangement(MeasuredValues(np.concatenate(values), np.concatenate(masses)))
+
+
+def pairwise_disjoint(s):
+    """Brute-force oracle: ``|k1 * 2**(j2-j1) - k2| >= 2**(j2-j1) + 1`` for every pair."""
+    terms = sorted((j, k) for j, ks in zip(s.scales, s.placement) for k in ks)
+    for a, (j1, k1) in enumerate(terms):
+        for j2, k2 in terms[a + 1:]:
+            shift = 2 ** (j2 - j1)
+            if abs(k1 * shift - k2) < shift + 1:
+                return False
+    return True
 
 
 class TestAtom:
@@ -216,6 +239,40 @@ class TestFamilies:
         with pytest.raises(ValueError):
             build_closed_form_family(canonical_params(), atom, 0)
 
+    def test_disjointness_matches_pairwise_oracle(self):
+        atom = build_atom(2)
+        rng = np.random.default_rng(5)
+        outcomes = set()
+        for _ in range(300):
+            scales = tuple(sorted(rng.choice(7, size=int(rng.integers(1, 4)), replace=False).tolist()))
+            placement = tuple(
+                tuple(int(k) for k in rng.integers(0, 2**j * 12, size=int(rng.integers(1, 4))))
+                for j in scales
+            )
+            s = AtomicSum(atom, 1, 0.25, scales, tuple(float(len(ks)) for ks in placement), placement)
+            expected = pairwise_disjoint(s)
+            assert verify_disjoint(s) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_disjointness_at_exact_touching_and_one_cell_overlap(self):
+        atom = build_atom(2)
+        cases = [
+            ((2,), ((3, 5),), True),  # (2, 4)/4 and (4, 6)/4 touch
+            ((2,), ((3, 4),), False),
+            ((1, 2), ((3,), (9,)), True),  # (4, 8)/4 and (8, 10)/4 touch
+            ((1, 2), ((3,), (8,)), False),  # (7, 9)/4 overlaps one finest cell
+            ((1, 3), ((3,), (17,)), True),  # (8, 16)/8 and (16, 18)/8 touch
+            ((1, 3), ((3,), (16,)), False),
+            ((1, 3), ((3,), (7,)), True),  # (6, 8)/8 touches from the left
+            ((1, 3), ((3,), (8,)), False),
+            ((1, 2, 3), ((3,), (12,), (10,)), False),  # nested: (9, 11)/8 inside (8, 16)/8
+        ]
+        for scales, placement, expected in cases:
+            s = AtomicSum(atom, 1, 0.25, scales, tuple(float(len(ks)) for ks in placement), placement)
+            assert pairwise_disjoint(s) == expected
+            assert verify_disjoint(s) == expected
+
     def test_closed_form_sums_have_no_placement_machinery(self):
         f_sum, _ = build_closed_form_family(canonical_params(), build_atom(2), 2)
         with pytest.raises(ValueError):
@@ -296,6 +353,31 @@ class TestClosedFormNorms:
         two = atomic_distribution(AtomicSum(atom, 1, 0.0, (0,), (2.0,)))
         assert np.allclose(two.values, one.values, rtol=1e-12)
         assert np.allclose(two.cum_masses, 2.0 * one.cum_masses, rtol=1e-12)
+
+    def test_prefix_distributions_merge_cross_scale_ties_exactly(self):
+        # coeff_exp = 0 gives every scale the same values, so each value ties
+        # across scales; the prefixes read off one sort equal fresh rearrangements.
+        atom = build_atom(2)
+        scales, counts = tuple(range(6)), (1.0, 3.0, 2.0, 5.0, 4.0, 7.0)
+        full = AtomicSum(atom, 1, 0.0, scales, counts)
+        levels = [1, 2, 3, 6]
+        for level, profile in zip(levels, sharpness._prefix_distributions(full, levels)):
+            reference = reference_distribution(AtomicSum(atom, 1, 0.0, scales[:level], counts[:level]))
+            assert np.array_equal(profile.values, reference.values)
+            assert np.array_equal(profile.cum_masses, reference.cum_masses)
+            assert profile.values.size == atom.rearrangement.values.size
+        full_profile = atomic_distribution(full)
+        assert np.array_equal(full_profile.cum_masses, reference_distribution(full).cum_masses)
+
+    def test_distribution_leaving_float_range_names_the_scale(self):
+        atom = build_atom(2)
+        # 2**1023.8 is finite, but times the atom's peak value 1.28 it is not.
+        with pytest.raises(ArithmeticError, match="scale 1:"):
+            atomic_distribution(AtomicSum(atom, 1, 1023.8, (0, 1), (1.0, 1.0)))
+        with pytest.raises(ArithmeticError, match="scale 1024"):
+            atomic_distribution(AtomicSum(atom, 1, 1.0, (1024,), (1.0,)))
+        with pytest.raises(ArithmeticError, match="scale 1075"):
+            atomic_distribution(AtomicSum(atom, 1, 0.0, (1075,), (1.0,)))
 
     def test_pairing_single_atom_and_exact_linearity(self):
         atom = build_atom(2)
@@ -416,6 +498,44 @@ class TestGrowthExperiment:
         assert result.slopes["besov0"] == pytest.approx(1.0, abs=1e-9)
         assert result.slopes["besov1"] == pytest.approx(0.0, abs=1e-9)
         assert abs(result.slopes["ratio"]) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            canonical_params(),
+            canonical_params(r0=4.0, r1=4.0, r=2.0),
+            build_params(1, 0.5, 0.5, 1.0, INF, 2.0, 2.0),
+            canonical_params(r0=1.0, r1=INF),
+        ],
+        ids=["composed", "violating", "half", "endpoint"],
+    )
+    def test_records_equal_per_level_reference_bit_for_bit(self, params):
+        atom = build_atom(2)
+        levels = default_level_grid(8, 64)
+        dual = LorentzParams(conjugate_exponent(params.p), conjugate_exponent(params.r))
+        result = growth_experiment(params, atom, levels)
+        for level, record in zip(levels, result.records):
+            f_sum, g_sum = build_closed_form_family(params, atom, level)
+            besov0 = atomic_besov_upper(f_sum, BesovParams(params.alpha, params.q0, params.r0))
+            besov1 = atomic_besov_upper(f_sum, BesovParams(-params.beta, params.q1, params.r1))
+            pair = pairing(f_sum, g_sum)
+            g_dual_norm = lorentz_norm(reference_distribution(g_sum), dual)
+            rhs_product = besov0 ** (1.0 - params.theta) * besov1**params.theta
+            assert record == {
+                "L": level,
+                "besov0": besov0,
+                "besov1": besov1,
+                "pairing": pair,
+                "g_dual_norm": g_dual_norm,
+                "lorentz_lower": pair / g_dual_norm,
+                "rhs_product": rhs_product,
+                "ratio": pair / g_dual_norm / rhs_product,
+            }
+
+    def test_mass_underflow_is_an_arithmetic_error(self):
+        # c_j * 2**(-j) with c_j = 2**(j/2): 2**(-j) is 0.0 from j = 1075 on.
+        with pytest.raises(ArithmeticError, match="scale 1075"):
+            growth_experiment(canonical_params(), build_atom(2), default_level_grid(8, 1536))
 
     def test_slow_dual_norm_convergence_is_reported_not_hidden(self):
         # For r0 = 2, r1 = 4 the target r = r_star = 8/3 needs the dual
