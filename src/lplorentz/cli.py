@@ -186,7 +186,7 @@ def _cmd_interp(args: argparse.Namespace) -> int:
         suite_size=args.suite_size,
         seed=args.seed,
     )
-    worst = max((rec["ratio"] for rec in records), default=None)
+    worst = max(rec["ratio"] for rec in records)
     emit_report(
         records,
         ["instance_id", "lhs", "rhs", "ratio"],

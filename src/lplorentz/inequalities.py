@@ -21,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import BesovParams, LorentzParams, MeasuredValues, _inv, besov_seminorm, lorentz_norm
+from .norms import (
+    BesovParams,
+    LorentzParams,
+    MeasuredValues,
+    _check_exponent,
+    _inv,
+    besov_seminorm,
+    lorentz_norm,
+)
 from .spectral import (
     BlockDecomposition,
     CutoffProfile,
@@ -51,15 +59,6 @@ __all__ = [
 ]
 
 _INF = math.inf
-
-
-def _check_exponent(name: str, value: float) -> float:
-    value = float(value)
-    if value == _INF:
-        return value
-    if not (math.isfinite(value) and value >= 1.0):
-        raise ValueError(f"{name} must lie in [1, inf], got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,14 @@ rank-threshold partition of sequences, and an empirical reiteration check.
 
 All integrals over step profiles are closed-form except the middle pieces of
 :func:`interpolation_norm_K`, which are analytic in the integration variable
-and handled by fixed-order Gauss-Legendre panels on dyadic subintervals.
+and handled by fixed-order Gauss-Legendre panels on dyadic subintervals; the
+panels of all pieces are laid out and evaluated as one array.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +53,12 @@ __all__ = [
 ]
 
 _INF = math.inf
+
+_LN2 = math.log(2.0)
+
+# one instance of a check suite: draws its inputs from the generator and
+# returns ``(lhs, rhs)``
+_Instance = Callable[[np.random.Generator], tuple[float, float]]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -167,9 +175,12 @@ def interpolation_norm_K(v, params: InterpParams) -> float:
     The K-functional is piecewise linear; the first piece and the constant
     tail integrate in closed form, interior pieces ``(a + b*t)**r * t**(-theta*r-1)``
     are integrated after the substitution ``t = e**u`` with 16-point
-    Gauss-Legendre panels of u-length at most ``ln 2``.  With
-    ``theta = 1 - 1/p`` this norm is equivalent to the Lorentz (p, r) norm,
-    with equality of ratios across dilates of a fixed profile.
+    Gauss-Legendre panels of u-length at most ``ln 2``: the piece on
+    ``[S_{i-1}, S_i]`` gets ``max(1, ceil(ln(S_i/S_{i-1}) / ln 2))`` equal
+    panels, and the panels of all pieces are evaluated as one
+    ``(panels, 16)`` node array.  With ``theta = 1 - 1/p`` this norm is
+    equivalent to the Lorentz (p, r) norm, with equality of ratios across
+    dilates of a fixed profile.
     """
     theta, r = params.theta, params.r
     prof = rearrangement(v)
@@ -184,17 +195,18 @@ def interpolation_norm_K(v, params: InterpParams) -> float:
 
     total = values[0] ** r * cum[0] ** ((1.0 - theta) * r) / ((1.0 - theta) * r)
     total += prefix[-1] ** r * cum[-1] ** (-theta * r) / (theta * r)
-    ln2 = math.log(2.0)
-    for i in range(1, values.size):
-        b = values[i]
-        a = prefix[i - 1] - b * prev[i]
-        u0, u1 = math.log(prev[i]), math.log(cum[i])
-        nseg = max(1, math.ceil((u1 - u0) / ln2))
-        edges = np.linspace(u0, u1, nseg + 1)
-        half = (edges[1] - edges[0]) / 2.0
-        u = (edges[:-1] + edges[1:])[:, None] / 2.0 + half * _GL_NODES[None, :]
-        integrand = (a + b * np.exp(u)) ** r * np.exp(-theta * r * u)
-        total += float(np.sum(integrand * _GL_WEIGHTS[None, :]) * half)
+    # interior piece i >= 1: K(t) = a + b*t on [S_{i-1}, S_i], u = ln t
+    b = values[1:]
+    a = prefix[:-1] - b * cum[:-1]
+    u0 = np.log(cum[:-1])
+    span = np.log(cum[1:]) - u0
+    nseg = np.maximum(1, np.ceil(span / _LN2)).astype(np.int64)
+    piece = np.repeat(np.arange(b.size), nseg)
+    panel = np.arange(piece.size) - np.repeat(np.cumsum(nseg) - nseg, nseg)
+    half = (span / (2 * nseg))[piece]
+    u = (u0[piece] + (2 * panel + 1) * half)[:, None] + half[:, None] * _GL_NODES
+    integrand = (a[piece, None] + b[piece, None] * np.exp(u)) ** r * np.exp(-theta * r * u)
+    total += float((integrand @ _GL_WEIGHTS) @ half)
     if not math.isfinite(total):
         raise ArithmeticError("interpolation integral diverged on this profile")
     return total ** (1.0 / r)
@@ -289,13 +301,29 @@ def j_method_norm(d: JDecomposition, params: InterpParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _threshold_index(d: float, base: float = 2.0) -> int:
-    """Integer ``k`` with ``base**k < d <= base**(k+1)``, robust to rounding."""
-    k = math.ceil(math.log(d, base)) - 1
-    while base**k >= d:
-        k -= 1
-    while base ** (k + 1) < d:
-        k += 1
+def _powers(base: float, k: np.ndarray) -> np.ndarray:
+    """``base**k`` for an integer array ``k``, each power a Python float power.
+
+    ``np.power`` can differ from Python's ``pow`` in the last bit, which
+    moves a value lying on a power of ``base`` into the next block; the
+    powers are therefore taken in Python, once per exponent in the range of
+    ``k``, which spans a few scales.
+    """
+    k0 = int(k.min())
+    table = np.array([base**j for j in range(k0, int(k.max()) + 1)])
+    return table[k - k0]
+
+
+def _threshold_index(d: np.ndarray, base: float = 2.0) -> np.ndarray:
+    """Integers ``k`` with ``base**k < d <= base**(k+1)`` for each entry of the
+    nonempty positive array ``d`` and ``base > 1``, exact under Python's float
+    ``pow``: a logarithm estimate, then fix-up steps until every entry holds."""
+    base = float(base)
+    k = np.ceil(np.log(d) / math.log(base)).astype(np.int64) - 1
+    while (down := _powers(base, k) >= d).any():
+        k = k - down
+    while (up := _powers(base, k + 1) < d).any():
+        k = k + up
     return k
 
 
@@ -316,27 +344,20 @@ def layer_cake_decompose(v: MeasuredValues) -> JDecomposition:
     prof = rearrangement(v)
     if prof.values.size == 0:
         return JDecomposition({}, {}, {})
-    group_k = np.array(
-        [_threshold_index(d) for d in prof.cum_masses], dtype=int
-    )
+    group_k = _threshold_index(prof.cum_masses)
     # map each positive entry to its value group (exact match by construction)
-    order_keys = -prof.values
-    pieces: dict[int, MeasuredValues] = {}
-    norms0: dict[int, float] = {}
-    norms1: dict[int, float] = {}
     pos = values > 0
-    entry_groups = np.searchsorted(order_keys, -values[pos])
-    entry_k = group_k[entry_groups]
-    full_k = np.full(values.shape, np.iinfo(np.int64).min, dtype=np.int64)
-    full_k[pos] = entry_k
-    for k in sorted(set(entry_k.tolist())):
-        mask = full_k == k
-        piece_values = np.where(mask, values, 0.0)
-        piece = MeasuredValues(piece_values, masses)
-        pieces[k] = piece
-        norms0[k] = float(np.sum(piece_values * masses))
-        norms1[k] = float(piece_values.max())
-    return JDecomposition(pieces, norms0, norms1)
+    entry_k = group_k[np.searchsorted(-prof.values, -values[pos])]
+    ks = np.unique(entry_k)
+    mask = np.zeros((ks.size, values.size), dtype=bool)
+    mask[:, pos] = entry_k == ks[:, None]
+    piece_values = np.where(mask, values, 0.0)
+    keys = ks.tolist()
+    return JDecomposition(
+        {k: MeasuredValues(row, masses) for k, row in zip(keys, piece_values)},
+        dict(zip(keys, np.sum(piece_values * masses, axis=1).tolist())),
+        dict(zip(keys, piece_values.max(axis=1).tolist())),
+    )
 
 
 def layer_cake_constant(p: float, r: float) -> float:
@@ -468,34 +489,32 @@ def ell_partition(lam, q0: float, q1: float, r0: float) -> PartitionResult:
     mv = MeasuredValues.from_sequence(lam_arr)
     prof = rearrangement(mv)
     pos = lam_arr > 0
-    entry_k = np.full(lam_arr.shape, np.iinfo(np.int64).min, dtype=np.int64)
+    entry_k = np.empty(lam_arr.shape, dtype=np.int64)
     if prof.values.size:
-        group_k = np.array([_threshold_index(d, base) for d in prof.cum_masses], dtype=int)
-        entry_groups = np.searchsorted(-prof.values, -lam_arr[pos])
-        entry_k[pos] = group_k[entry_groups]
+        group_k = _threshold_index(prof.cum_masses, base)
+        entry_k[pos] = group_k[np.searchsorted(-prof.values, -lam_arr[pos])]
         last_k = int(group_k.max())
     else:
         last_k = 0
     entry_k[~pos] = last_k
 
-    blocks: dict[int, np.ndarray] = {}
-    beta: dict[int, float] = {}
-    gamma: dict[int, float] = {}
-    for k in sorted(set(entry_k.tolist())):
-        idx = np.flatnonzero(entry_k == k)
-        blocks[k] = idx
-        vals = lam_arr[idx]
-        beta[k] = 2.0 ** (-k * eta) * float(np.sum(vals**q0) ** (1.0 / q0))
-        if q1 == _INF:
-            gamma[k] = 2.0 ** (k * (1.0 - eta)) * float(vals.max(initial=0.0))
-        else:
-            gamma[k] = 2.0 ** (k * (1.0 - eta)) * float(np.sum(vals**q1) ** (1.0 / q1))
-    beta_arr = np.array(list(beta.values()))
-    gamma_arr = np.array(list(gamma.values()))
-    lhs = float(np.sum(beta_arr**r0) ** (1.0 / r0) + np.sum(gamma_arr**r0) ** (1.0 / r0))
+    ks = np.unique(entry_k)
+    mask = entry_k == ks[:, None]
+    block_vals = np.where(mask, lam_arr, 0.0)
+    beta = 2.0 ** (-ks * eta) * np.sum(block_vals**q0, axis=1) ** (1.0 / q0)
+    if q1 == _INF:
+        gamma = 2.0 ** (ks * (1.0 - eta)) * block_vals.max(axis=1)
+    else:
+        gamma = 2.0 ** (ks * (1.0 - eta)) * np.sum(block_vals**q1, axis=1) ** (1.0 / q1)
+    lhs = float(np.sum(beta**r0) ** (1.0 / r0) + np.sum(gamma**r0) ** (1.0 / r0))
     bound = ell_partition_constant(q0, q1, r0) * lebesgue_norm(mv, r0)
     ratio = 0.0 if bound == 0.0 else lhs / bound
-    return PartitionResult(blocks, eta, sigma, beta, gamma, lhs, bound, ratio)
+    keys = ks.tolist()
+    blocks = {k: np.flatnonzero(row) for k, row in zip(keys, mask)}
+    return PartitionResult(
+        blocks, eta, sigma, dict(zip(keys, beta.tolist())), dict(zip(keys, gamma.tolist())),
+        lhs, bound, ratio,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +570,20 @@ def reiteration_check(
     records and the observed ratio interval, which must stay within fixed
     positive bounds for the reiteration identity to hold numerically.
     """
+    target_p, instance = _reiteration_instance(p0, r0, p1, r1, theta, r)
+    records = _suite_records(instance, suite_size, seed)
+    ratios = [rec["ratio"] for rec in records]
+    return ReiterationResult(target_p, float(r), records, min(ratios), max(ratios))
+
+
+def _reiteration_instance(
+    p0: float, r0: float, p1: float, r1: float, theta: float, r: float
+) -> tuple[float, _Instance]:
+    """Validated target exponent and per-instance ``(lhs, rhs)`` function of
+    :func:`reiteration_check`."""
     theta = float(theta)
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
-    if suite_size < 1:
-        raise ValueError("suite_size must be >= 1")
     inv_p = (1.0 - theta) * _inv(p0) + theta * _inv(p1)
     if not 0.0 < inv_p < 1.0:
         raise ValueError(f"composed exponent p={1/inv_p if inv_p else math.inf!r} outside (1, inf)")
@@ -579,9 +607,7 @@ def reiteration_check(
     def norm1(v: MeasuredValues) -> float:
         return _endpoint_norm(v, p1, r1)
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    records: list[dict] = []
-    for instance_id in range(suite_size):
+    def instance(rng: np.random.Generator) -> tuple[float, float]:
         size = int(rng.integers(3, 60))
         v = MeasuredValues.from_sequence(rng.lognormal(0.0, 1.5, size))
         candidates = [trivial_decomposition(v, norm0, norm1)]
@@ -594,13 +620,9 @@ def reiteration_check(
                     {j: norm1(piece) for j, piece in cake.pieces.items()},
                 )
             )
-        lhs = min(j_bound(d, params) for d in candidates)
-        rhs = lorentz_norm(v, target)
-        records.append(
-            {"instance_id": instance_id, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
-        )
-    ratios = [rec["ratio"] for rec in records]
-    return ReiterationResult(target_p, float(r), records, min(ratios), max(ratios))
+        return min(j_bound(d, params) for d in candidates), lorentz_norm(v, target)
+
+    return target_p, instance
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +637,84 @@ def _random_step_values(rng: np.random.Generator) -> MeasuredValues:
     return MeasuredValues(values, masses)
 
 
+def _suite_records(instance: _Instance, suite_size: int, seed: int) -> list[dict]:
+    """Records ``{instance_id, lhs, rhs, ratio}`` of ``suite_size`` draws of
+    ``instance`` from one generator seeded by ``seed``."""
+    if suite_size < 1:
+        raise ValueError("suite_size must be >= 1")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    records: list[dict] = []
+    for instance_id in range(suite_size):
+        lhs, rhs = instance(rng)
+        records.append({"instance_id": instance_id, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs})
+    return records
+
+
+def _k_equivalence_instance(p, r, q0, q1, theta) -> _Instance:
+    params = InterpParams(1.0 - 1.0 / p, r)
+    target = LorentzParams(p, r)
+
+    def instance(rng):
+        prof = rearrangement(_random_step_values(rng))
+        return interpolation_norm_K(prof, params), lorentz_norm(prof, target)
+
+    return instance
+
+
+def _layer_cake_instance(p, r, q0, q1, theta) -> _Instance:
+    target = LorentzParams(p, r)
+    c0 = layer_cake_constant(p, r)
+    interp = InterpParams(1.0 - 1.0 / p, r, 2.0)
+
+    def instance(rng):
+        v = _random_step_values(rng)
+        p_sum, q_sum = j_sum_functional(layer_cake_decompose(v), interp)
+        return p_sum + q_sum, c0 * lorentz_norm(v, target)
+
+    return instance
+
+
+def _duality_instance(p, r, q0, q1, theta) -> _Instance:
+    dual = LorentzParams(conjugate_exponent(p), conjugate_exponent(r))
+    params = LorentzParams(p, r)
+
+    def instance(rng):
+        size = int(rng.integers(3, 60))
+        masses = rng.uniform(0.1, 4.0, size)
+        f = MeasuredValues(rng.lognormal(0.0, 1.0, size), masses)
+        g = MeasuredValues(rng.lognormal(0.0, 1.0, size), masses)
+        pairing = float(np.sum(f.values * g.values * masses))
+        return pairing, lorentz_norm(f, params) * lorentz_norm(g, dual)
+
+    return instance
+
+
+def _partition_instance(p, r, q0, q1, theta) -> _Instance:
+    def instance(rng):
+        size = int(rng.integers(5, 120))
+        result = ell_partition(rng.lognormal(0.0, 1.5, size), q0, q1, r)
+        return result.lhs, result.bound
+
+    return instance
+
+
+def _reiteration_suite_instance(p, r, q0, q1, theta) -> _Instance:
+    r0 = 1.0 if q0 == 1.0 else r
+    r1 = _INF if q1 == _INF else r
+    return _reiteration_instance(q0, r0, q1, r1, theta, r)[1]
+
+
+# check name -> builder of its per-instance function, called once per suite
+# with the keyword options of :func:`run_interp_suite`
+_CHECKS = {
+    "k-equivalence": _k_equivalence_instance,
+    "layer-cake": _layer_cake_instance,
+    "duality": _duality_instance,
+    "partition": _partition_instance,
+    "reiteration": _reiteration_suite_instance,
+}
+
+
 def run_interp_suite(
     check: str,
     *,
@@ -626,7 +726,8 @@ def run_interp_suite(
     suite_size: int = 100,
     seed: int = 0,
 ) -> list[dict]:
-    """Run one interpolation check over a seeded random suite.
+    """Run one interpolation check over a seeded random suite of
+    ``suite_size >= 1`` instances.
 
     Returns records ``{instance_id, lhs, rhs, ratio}``:
 
@@ -642,60 +743,7 @@ def run_interp_suite(
       pinned to the endpoint spaces (``r0 = 1`` when ``p0 = 1``, ``r1 = inf``
       when ``p1 = inf``, else ``r``); composed target ratio per instance.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    records: list[dict] = []
-    if check == "k-equivalence":
-        params = InterpParams(1.0 - 1.0 / p, r)
-        target = LorentzParams(p, r)
-        for instance_id in range(suite_size):
-            v = _random_step_values(rng)
-            lhs = interpolation_norm_K(v, params)
-            rhs = lorentz_norm(v, target)
-            records.append(
-                {"instance_id": instance_id, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
-            )
-    elif check == "layer-cake":
-        target = LorentzParams(p, r)
-        c0 = layer_cake_constant(p, r)
-        interp = InterpParams(1.0 - 1.0 / p, r, 2.0)
-        for instance_id in range(suite_size):
-            v = _random_step_values(rng)
-            p_sum, q_sum = j_sum_functional(layer_cake_decompose(v), interp)
-            lhs = p_sum + q_sum
-            rhs = c0 * lorentz_norm(v, target)
-            records.append(
-                {"instance_id": instance_id, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
-            )
-    elif check == "duality":
-        dual = LorentzParams(conjugate_exponent(p), conjugate_exponent(r))
-        for instance_id in range(suite_size):
-            size = int(rng.integers(3, 60))
-            masses = rng.uniform(0.1, 4.0, size)
-            f = MeasuredValues(rng.lognormal(0.0, 1.0, size), masses)
-            g = MeasuredValues(rng.lognormal(0.0, 1.0, size), masses)
-            pairing = float(np.sum(f.values * g.values * masses))
-            rhs = lorentz_norm(f, LorentzParams(p, r)) * lorentz_norm(g, dual)
-            records.append(
-                {"instance_id": instance_id, "lhs": pairing, "rhs": rhs, "ratio": pairing / rhs}
-            )
-    elif check == "partition":
-        for instance_id in range(suite_size):
-            size = int(rng.integers(5, 120))
-            lam = rng.lognormal(0.0, 1.5, size)
-            result = ell_partition(lam, q0, q1, r)
-            records.append(
-                {
-                    "instance_id": instance_id,
-                    "lhs": result.lhs,
-                    "rhs": result.bound,
-                    "ratio": result.ratio,
-                }
-            )
-    elif check == "reiteration":
-        r0 = 1.0 if q0 == 1.0 else r
-        r1 = _INF if q1 == _INF else r
-        result = reiteration_check(q0, r0, q1, r1, theta, r, suite_size, seed)
-        records = result.records
-    else:
+    if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}")
-    return records
+    instance = _CHECKS[check](p=p, r=r, q0=q0, q1=q1, theta=theta)
+    return _suite_records(instance, suite_size, seed)

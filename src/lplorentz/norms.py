@@ -41,14 +41,13 @@ __all__ = [
 _INF = math.inf
 
 
-def _check_exponent(name: str, value: float, *, low: float = 1.0, allow_inf: bool = True) -> float:
+def _check_exponent(name: str, value: float) -> float:
+    """``value`` as a float in ``[1, inf]``; raises ``ValueError`` naming ``name`` otherwise."""
     value = float(value)
     if value == _INF:
-        if allow_inf:
-            return value
-        raise ValueError(f"{name} must be finite, got inf")
-    if not (math.isfinite(value) and value >= low):
-        raise ValueError(f"{name} must lie in [{low:g}, inf], got {value!r}")
+        return value
+    if not (math.isfinite(value) and value >= 1.0):
+        raise ValueError(f"{name} must lie in [1, inf], got {value!r}")
     return value
 
 
@@ -113,9 +112,12 @@ class MeasuredValues:
         object.__setattr__(self, "masses", masses)
         if values.size != masses.size:
             raise ValueError("values and masses must have equal length")
-        if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
+        if values.size == 0:
+            return
+        # min/max propagate NaN, and NaN fails every comparison
+        if not (values.min() >= 0.0 and values.max() < _INF):
             raise ValueError("values must be finite and nonnegative")
-        if not (np.all(np.isfinite(masses)) and np.all(masses > 0)):
+        if not (masses.min() > 0.0 and masses.max() < _INF):
             raise ValueError("masses must be finite and strictly positive")
 
     @classmethod
@@ -171,11 +173,13 @@ class RearrangementProfile:
         object.__setattr__(self, "cum_masses", cum)
         if values.size != cum.size:
             raise ValueError("values and cum_masses must have equal length")
-        if values.size:
-            if not (np.all(np.diff(values) < 0) if values.size > 1 else True) or not np.all(values > 0):
-                raise ValueError("profile values must be strictly decreasing and positive")
-            if not np.all(np.diff(cum) > 0) or cum[0] <= 0:
-                raise ValueError("cumulative masses must be strictly increasing and positive")
+        if values.size == 0:
+            return
+        # a strictly decreasing profile is positive iff its last value is
+        if not (values[-1] > 0.0 and (values[1:] < values[:-1]).all()):
+            raise ValueError("profile values must be strictly decreasing and positive")
+        if not (cum[0] > 0.0 and (cum[1:] > cum[:-1]).all()):
+            raise ValueError("cumulative masses must be strictly increasing and positive")
 
     @property
     def total_mass(self) -> float:

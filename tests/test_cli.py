@@ -228,6 +228,16 @@ class TestInterpCommand:
         assert main(["interp", "--check", "fourier-phase"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "check", ["k-equivalence", "layer-cake", "partition", "duality", "reiteration"]
+    )
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_empty_or_negative_suite_size_exits_2(self, check, size, capsys):
+        assert main(["interp", "--check", check, "--suite-size", size]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: suite_size must be >= 1\n"
+
 
 class TestSharpnessCommand:
     CANONICAL = [

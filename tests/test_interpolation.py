@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_step_values
 from lplorentz.interpolation import (
@@ -25,6 +27,7 @@ from lplorentz.interpolation import (
     run_interp_suite,
     trivial_decomposition,
 )
+from lplorentz.interpolation import _GL_NODES, _GL_WEIGHTS, _threshold_index
 from lplorentz.norms import (
     LorentzParams,
     MeasuredValues,
@@ -34,6 +37,76 @@ from lplorentz.norms import (
 )
 
 INF = math.inf
+
+THRESHOLD_BASES = (2.0, 2.0**1.5, 2.0 ** (1.0 / 0.7))
+
+
+def threshold_index_reference(d: float, base: float) -> int:
+    """Scalar ``k`` with ``base**k < d <= base**(k+1)`` under Python's float pow."""
+    k = math.ceil(math.log(d, base)) - 1
+    while base**k >= d:
+        k -= 1
+    while base ** (k + 1) < d:
+        k += 1
+    return k
+
+
+def k_norm_per_piece_reference(v, params: InterpParams) -> float:
+    """Weighted K-norm with one Gauss-Legendre panel set per profile piece."""
+    theta, r = params.theta, params.r
+    prof = rearrangement(v)
+    values, cum = prof.values, prof.cum_masses
+    prev = np.concatenate(([0.0], cum[:-1]))
+    prefix = np.cumsum(values * (cum - prev))
+    if r == INF:
+        return float(np.max(cum ** (-theta) * prefix))
+    total = values[0] ** r * cum[0] ** ((1.0 - theta) * r) / ((1.0 - theta) * r)
+    total += prefix[-1] ** r * cum[-1] ** (-theta * r) / (theta * r)
+    for i in range(1, values.size):
+        b = values[i]
+        a = prefix[i - 1] - b * prev[i]
+        u0, u1 = math.log(prev[i]), math.log(cum[i])
+        nseg = max(1, math.ceil((u1 - u0) / math.log(2.0)))
+        edges = np.linspace(u0, u1, nseg + 1)
+        half = (edges[1] - edges[0]) / 2.0
+        u = (edges[:-1] + edges[1:])[:, None] / 2.0 + half * _GL_NODES[None, :]
+        integrand = (a + b * np.exp(u)) ** r * np.exp(-theta * r * u)
+        total += float(np.sum(integrand * _GL_WEIGHTS[None, :]) * half)
+    return total ** (1.0 / r)
+
+
+def layer_cake_per_piece_reference(v: MeasuredValues):
+    """Layer-cake pieces and endpoint norms built one piece at a time."""
+    prof = rearrangement(v)
+    group_k = np.array([threshold_index_reference(d, 2.0) for d in prof.cum_masses], dtype=int)
+    pos = v.values > 0
+    entry_k = group_k[np.searchsorted(-prof.values, -v.values[pos])]
+    full_k = np.full(v.values.shape, np.iinfo(np.int64).min, dtype=np.int64)
+    full_k[pos] = entry_k
+    pieces, norms0, norms1 = {}, {}, {}
+    for k in sorted(set(entry_k.tolist())):
+        piece_values = np.where(full_k == k, v.values, 0.0)
+        pieces[k] = piece_values
+        norms0[k] = float(np.sum(piece_values * v.masses))
+        norms1[k] = float(piece_values.max())
+    return pieces, norms0, norms1
+
+
+positive_floats = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def step_values(draw, allow_zeros: bool = False):
+    """Measured values with repeated entries, optionally some zeros."""
+    n = draw(st.integers(1, 40))
+    pool = draw(st.lists(positive_floats, min_size=1, max_size=8))
+    if allow_zeros:
+        pool.append(0.0)
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    masses = draw(
+        st.lists(st.floats(min_value=0.01, max_value=50.0), min_size=n, max_size=n)
+    )
+    return MeasuredValues(np.array(values), np.array(masses))
 
 
 def k_functional_vectorized(v: MeasuredValues, t: np.ndarray) -> np.ndarray:
@@ -403,6 +476,72 @@ class TestReiteration:
             reiteration_check(1.0, 1.0, 1.0, 1.0, 0.5, 1.0, suite_size=4, seed=0)
 
 
+class TestThresholdIndex:
+    @pytest.mark.parametrize("base", THRESHOLD_BASES)
+    def test_exact_powers_and_neighbouring_floats(self, base):
+        # numpy 2.4's np.power(2**(1/0.7), k) is one ulp off Python's pow at k = -31, 11, 37
+        ds = []
+        for k in range(-40, 41):
+            power = base**k
+            ds += [np.nextafter(power, 0.0), power, np.nextafter(power, INF)]
+        got = _threshold_index(np.array(ds), base)
+        assert got.tolist() == [threshold_index_reference(d, base) for d in ds]
+        for d, k in zip(ds, got.tolist()):
+            assert base**k < d <= base ** (k + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(positive_floats, min_size=1, max_size=30),
+        st.one_of(st.sampled_from(THRESHOLD_BASES), st.floats(min_value=1.1, max_value=20.0)),
+    )
+    def test_matches_scalar_reference(self, ds, base):
+        got = _threshold_index(np.array(ds), base)
+        assert got.tolist() == [threshold_index_reference(d, base) for d in ds]
+
+
+class TestPanelArrayKNorm:
+    RS = (1.0, 2.0, 4.5, INF)
+
+    @pytest.mark.parametrize("r", RS)
+    @pytest.mark.parametrize(
+        "values, masses",
+        [
+            ([3.0], [0.7]),
+            ([1.0], [1.0]),
+            ([8.0, 4.0, 2.0, 1.0], [1.0, 1.0, 2.0, 4.0]),  # S_i / S_{i-1} = 2 exactly
+            ([5.0, 1.0, 0.5], [0.25, 0.25, 1.5]),
+            ([9.0, 7.0, 2.0, 1.0], [1e-3, 1.0, 1e3, 1e-2]),
+        ],
+    )
+    def test_matches_per_piece_reference(self, r, values, masses):
+        v = MeasuredValues(np.array(values), np.array(masses))
+        for theta in (0.1, 0.5, 0.8):
+            params = InterpParams(theta, r)
+            ref = k_norm_per_piece_reference(v, params)
+            assert interpolation_norm_K(v, params) == pytest.approx(ref, rel=1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_values(allow_zeros=True), st.sampled_from(RS), st.floats(0.05, 0.95))
+    def test_matches_per_piece_reference_on_random_profiles(self, v, r, theta):
+        params = InterpParams(theta, r)
+        ref = k_norm_per_piece_reference(v, params) if rearrangement(v).values.size else 0.0
+        assert interpolation_norm_K(v, params) == pytest.approx(ref, rel=1e-13)
+
+
+class TestLayerCakeArrayCore:
+    @settings(max_examples=150, deadline=None)
+    @given(step_values(allow_zeros=True))
+    def test_pieces_bit_identical_to_per_piece_reference(self, v):
+        dec = layer_cake_decompose(v)
+        pieces, norms0, norms1 = layer_cake_per_piece_reference(v)
+        assert list(dec.pieces) == list(pieces)
+        for k, piece in dec.pieces.items():
+            assert np.array_equal(piece.values, pieces[k])
+            assert np.array_equal(piece.masses, v.masses)
+        assert dec.norms0 == norms0
+        assert dec.norms1 == norms1
+
+
 class TestInterpSuiteRunner:
     def test_all_checks_produce_finite_ratios(self):
         for check in ("k-equivalence", "layer-cake", "duality", "partition", "reiteration"):
@@ -420,3 +559,31 @@ class TestInterpSuiteRunner:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             run_interp_suite("nonsense", suite_size=2, seed=0)
+
+    @pytest.mark.parametrize(
+        "check", ["k-equivalence", "layer-cake", "duality", "partition", "reiteration"]
+    )
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_empty_or_negative_suite_rejected(self, check, size):
+        with pytest.raises(ValueError, match="suite_size"):
+            run_interp_suite(check, suite_size=size, seed=0)
+
+    def test_records_follow_per_instance_draw_order(self):
+        rng = np.random.default_rng(np.random.SeedSequence(4))
+        expected = []
+        for instance_id in range(5):
+            size = int(rng.integers(3, 60))
+            masses = rng.uniform(0.1, 4.0, size)
+            f = MeasuredValues(rng.lognormal(0.0, 1.0, size), masses)
+            g = MeasuredValues(rng.lognormal(0.0, 1.0, size), masses)
+            lhs = float(np.sum(f.values * g.values * masses))
+            rhs = lorentz_norm(f, LorentzParams(3.0, 1.5)) * lorentz_norm(
+                g, LorentzParams(1.5, 3.0)
+            )
+            expected.append({"instance_id": instance_id, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs})
+        assert run_interp_suite("duality", p=3.0, r=1.5, suite_size=5, seed=4) == expected
+
+    def test_reiteration_records_equal_reiteration_check(self):
+        records = run_interp_suite("reiteration", q0=1.0, q1=INF, r=3.0, theta=0.3, suite_size=7, seed=2)
+        direct = reiteration_check(1.0, 1.0, INF, INF, 0.3, 3.0, suite_size=7, seed=2)
+        assert records == direct.records

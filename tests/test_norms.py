@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_step_values
 from lplorentz.norms import (
     BesovParams,
     LorentzParams,
     MeasuredValues,
+    RearrangementProfile,
     besov_seminorm,
     conjugate_exponent,
     distribution_function,
@@ -26,6 +29,16 @@ from lplorentz.spectral import GridSpec, SampledField, decompose, make_cutoff_pr
 INF = math.inf
 TWO_PI = 2.0 * math.pi
 
+finite_positive = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def entries_with_one_bad(draw, good, bad):
+    """A list of ``good`` draws with one entry replaced by a ``bad`` draw."""
+    entries = draw(st.lists(good, min_size=1, max_size=30))
+    entries[draw(st.integers(0, len(entries) - 1))] = draw(bad)
+    return np.array(entries)
+
 
 class TestMeasuredValues:
     def test_validation(self):
@@ -35,6 +48,25 @@ class TestMeasuredValues:
             MeasuredValues(np.array([1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
             MeasuredValues(np.array([np.nan]), np.array([1.0]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        entries_with_one_bad(
+            st.one_of(st.just(0.0), finite_positive), st.sampled_from([np.nan, INF, -INF, -1.0, -1e-300])
+        )
+    )
+    def test_rejects_a_bad_value_anywhere(self, values):
+        with pytest.raises(ValueError, match="values must be finite and nonnegative"):
+            MeasuredValues(values, np.ones_like(values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(entries_with_one_bad(finite_positive, st.sampled_from([0.0, -0.0, -2.0, np.nan, INF, -INF])))
+    def test_rejects_a_bad_mass_anywhere(self, masses):
+        with pytest.raises(ValueError, match="masses must be finite and strictly positive"):
+            MeasuredValues(np.ones_like(masses), masses)
+
+    def test_empty_is_valid(self):
+        assert MeasuredValues(np.empty(0), np.empty(0)).total_mass == 0.0
 
     def test_from_sequence_is_counting_measure_of_magnitudes(self):
         v = MeasuredValues.from_sequence([-3.0, 2.0, 0.0])
@@ -55,6 +87,42 @@ class TestMeasuredValues:
         c = MeasuredValues(np.array([4.0, 5.0]), np.array([2.0, 1.0]))
         assert a.aligned_with(b)
         assert not a.aligned_with(c)
+
+
+class TestRearrangementProfileValidation:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [2.0, 2.0],
+            [1.0, 2.0],
+            [3.0, 1.0, 1.0],
+            [3.0, 2.0, 0.0],
+            [3.0, -1.0],
+            [0.0],
+            [-1.0],
+            [np.nan],
+            [3.0, np.nan, 1.0],
+        ],
+    )
+    def test_rejects_values_not_strictly_decreasing_and_positive(self, values):
+        cum = np.arange(1.0, len(values) + 1.0)
+        with pytest.raises(ValueError, match="strictly decreasing and positive"):
+            RearrangementProfile(np.array(values), cum)
+
+    @pytest.mark.parametrize(
+        "cum", [[0.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, 2.0, 2.0], [np.nan], [1.0, np.nan]]
+    )
+    def test_rejects_cumulative_masses_not_strictly_increasing_and_positive(self, cum):
+        values = np.arange(len(cum), 0.0, -1.0)
+        with pytest.raises(ValueError, match="strictly increasing and positive"):
+            RearrangementProfile(values, np.array(cum))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(finite_positive, min_size=1, max_size=30, unique=True))
+    def test_accepts_strictly_decreasing_positive_profiles(self, values):
+        values = np.sort(np.array(values))[::-1]
+        prof = RearrangementProfile(values, np.cumsum(np.ones_like(values)))
+        assert prof.total_mass == values.size
 
 
 class TestRearrangement:
