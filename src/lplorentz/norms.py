@@ -5,7 +5,8 @@ pushforward description of ``|f|`` as a list of ``(value, mass)`` pairs.  A
 sampled field contributes each cell with mass ``spacing**dim``; a sequence
 contributes each entry with mass 1.  Lorentz norms are evaluated exactly on
 the step-function decreasing rearrangement via per-piece closed-form
-integrals -- no quadrature is involved anywhere in this module.
+integrals, with one power of the cumulative masses per sum -- no quadrature
+is involved anywhere in this module.
 
 The distribution function uses the ``>= t`` (right-closed) convention.  The
 ``> t`` convention would change it only on the null set of jump thresholds
@@ -175,11 +176,11 @@ class RearrangementProfile:
             raise ValueError("values and cum_masses must have equal length")
         if values.size == 0:
             return
-        # a strictly decreasing profile is positive iff its last value is
-        if not (values[-1] > 0.0 and (values[1:] < values[:-1]).all()):
-            raise ValueError("profile values must be strictly decreasing and positive")
-        if not (cum[0] > 0.0 and (cum[1:] > cum[:-1]).all()):
-            raise ValueError("cumulative masses must be strictly increasing and positive")
+        # monotone arrays take their extremes at the endpoints
+        if not (values[0] < _INF and values[-1] > 0.0 and (values[1:] < values[:-1]).all()):
+            raise ValueError("profile values must be finite, strictly decreasing and positive")
+        if not (cum[0] > 0.0 and cum[-1] < _INF and (cum[1:] > cum[:-1]).all()):
+            raise ValueError("cumulative masses must be finite, strictly increasing and positive")
 
     @property
     def total_mass(self) -> float:
@@ -229,13 +230,22 @@ def rearrangement(v: MeasuredValues) -> RearrangementProfile:
 
 def _profile_from_sorted(values: np.ndarray, masses: np.ndarray) -> RearrangementProfile:
     """Step profile of positive ``values`` already sorted in decreasing order:
-    equal values merge into one step carrying their summed mass."""
+    equal values merge into one step carrying their summed mass.
+
+    Only input with ties builds the step index and runs ``reduceat``; on
+    tie-free input every step is one entry, for which ``reduceat`` would be
+    the identity, so both cases give the same bits.
+    """
     if values.size == 0:
         return RearrangementProfile(np.empty(0), np.empty(0))
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(values)) + 1))
-    group_values = values[starts]
-    group_masses = np.add.reduceat(masses, starts)
-    return RearrangementProfile(group_values, np.cumsum(group_masses))
+    new_step = np.empty(values.size, dtype=bool)
+    new_step[0] = True
+    np.not_equal(values[1:], values[:-1], out=new_step[1:])
+    if not new_step.all():
+        starts = np.flatnonzero(new_step)
+        values = values[starts]
+        masses = np.add.reduceat(masses, starts)
+    return RearrangementProfile(values, np.cumsum(masses))
 
 
 def _as_lorentz_params(params) -> LorentzParams:
@@ -248,7 +258,8 @@ def lorentz_norm(v, params) -> float:
     """Lorentz norm ``( integral (s**(1/p) f*(s))**r ds/s )**(1/r)``.
 
     Evaluated exactly on the step rearrangement: each piece contributes
-    ``value**r * (p/r) * (S_i**(r/p) - S_{i-1}**(r/p))``.  For ``r = inf``
+    ``value**r * (p/r) * (S_i**(r/p) - S_{i-1}**(r/p))``, where the powers
+    ``S_i**(r/p)`` are computed once and differenced in place.  For ``r = inf``
     the norm is ``sup_s s**(1/p) f*(s) = max_i value_i * S_i**(1/p)``, the
     weak-type norm.
     """
@@ -260,8 +271,9 @@ def lorentz_norm(v, params) -> float:
     p, r = params.p, params.r
     if r == _INF:
         return float(np.max(values * cum ** (1.0 / p)))
-    prev = np.concatenate(([0.0], cum[:-1]))
-    total = float(np.sum(values**r * (p / r) * (cum ** (r / p) - prev ** (r / p))))
+    steps = cum ** (r / p)
+    steps[1:] -= steps[:-1]
+    total = float(np.sum(values**r * (p / r) * steps))
     if not math.isfinite(total):
         raise ArithmeticError("Lorentz integral diverged on this profile")
     return total ** (1.0 / r)

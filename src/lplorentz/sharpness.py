@@ -287,17 +287,24 @@ def scale_counts(delta: float, scales, mode: str = "exact"):
     ``[ceil(2**(delta*j)), floor(2**(delta*(j+1)))]``, falling back to the
     lower edge when rounding leaves the bracket empty; these are used for
     concrete placements and rasterization.
+
+    Raises ``ArithmeticError`` naming the first scale whose count overflows
+    the float range.
     """
-    if mode == "exact":
-        return [2.0 ** (delta * j) for j in scales]
-    if mode != "integer":
+    if mode not in ("exact", "integer"):
         raise ValueError(f"unknown count mode {mode!r}")
     counts = []
-    for j in scales:
-        lo = math.ceil(2.0 ** (delta * j) - 1e-12)
-        hi = math.floor(2.0 ** (delta * (j + 1)) + 1e-12)
-        cand = round(2.0 ** (delta * (j + 0.5)))
-        counts.append(max(lo, min(cand, hi)) if hi >= lo else lo)
+    try:
+        for j in scales:
+            if mode == "exact":
+                counts.append(2.0 ** (delta * j))
+                continue
+            lo = math.ceil(2.0 ** (delta * j) - 1e-12)
+            hi = math.floor(2.0 ** (delta * (j + 1)) + 1e-12)
+            cand = round(2.0 ** (delta * (j + 0.5)))
+            counts.append(max(lo, min(cand, hi)) if hi >= lo else lo)
+    except OverflowError as exc:
+        raise ArithmeticError(f"atom count leaves the float range at scale {j}: {exc}") from None
     return counts
 
 
@@ -527,7 +534,8 @@ def _prefix_distributions(s: AtomicSum, levels):
 
     The entries of ``s`` (the atom's sampled rearrangement times each
     scale's factors, see :func:`atomic_distribution`) are sorted once and
-    tagged with their scale index.  A boolean filter on the tag keeps the
+    tagged with their scale index: an ``int32`` array of per-scale blocks,
+    gathered through the sort order.  A boolean filter on the tag keeps the
     entries of the first ``L`` scales in sorted order, so no level sorts
     again.  Zero values are dropped.
     """
@@ -537,7 +545,7 @@ def _prefix_distributions(s: AtomicSum, levels):
     entries = MeasuredValues(np.multiply.outer(coefs, base.values), np.multiply.outer(factors, widths))
     order = np.argsort(entries.values)[::-1][: np.count_nonzero(entries.values)]
     values, masses = entries.values[order], entries.masses[order]
-    scale = (order // base.values.size).astype(np.int32)
+    scale = np.repeat(np.arange(len(coefs), dtype=np.int32), base.values.size)[order]
     del entries, order  # only the sorted copies stay alive across the yields
     for level in levels:
         keep = scale < level

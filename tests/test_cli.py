@@ -321,12 +321,13 @@ class TestSharpnessCommand:
 
     def test_float_range_exhaustion_is_runtime_failure(self, capsys):
         # From scale 1075 on the masses 2**(-j) underflow, and at scale 2048 the
-        # counts 2**(delta*j) overflow: a runtime failure (exit 1), not a bad
-        # flag (exit 2).
+        # counts 2**(delta*j) overflow: a runtime failure (exit 1) naming that
+        # scale, not a bad flag (exit 2).
         code = main(self.CANONICAL + ["--Lmax", "2048"])
         captured = capsys.readouterr()
         assert code == 1
-        assert any(line.startswith("failure:") for line in captured.err.splitlines())
+        failures = [line for line in captured.err.splitlines() if line.startswith("failure:")]
+        assert failures and "scale 2048" in failures[0]
 
 
 class TestEmitReport:

@@ -24,12 +24,47 @@ from lplorentz.norms import (
     rearrangement,
     triebel_seminorm,
 )
+from lplorentz.norms import _profile_from_sorted
 from lplorentz.spectral import GridSpec, SampledField, decompose, make_cutoff_profile
 
 INF = math.inf
 TWO_PI = 2.0 * math.pi
 
 finite_positive = st.floats(min_value=1e-3, max_value=1e3)
+
+
+# A small pool of values, so that drawn lists tie often, and non-dyadic masses,
+# so that summing tied masses in another order would change the last bits.
+TIE_POOL = [0.3, 1.0, 1.7, 2.9, 6.1]
+non_dyadic_mass = st.floats(min_value=0.01, max_value=10.0).filter(lambda m: (m * 2.0**20) % 1.0 != 0.0)
+
+
+@st.composite
+def tied_or_tie_free(draw):
+    """``(values, masses)`` with values from ``TIE_POOL`` or pairwise distinct."""
+    values = draw(
+        st.one_of(
+            st.lists(st.sampled_from(TIE_POOL), min_size=1, max_size=40),
+            st.lists(finite_positive, min_size=1, max_size=40, unique=True),
+        )
+    )
+    masses = draw(st.lists(non_dyadic_mass, min_size=len(values), max_size=len(values)))
+    return np.array(values), np.array(masses)
+
+
+def reference_merge(values, masses):
+    """Tie merge of decreasingly sorted ``values`` that always builds the step
+    index and runs ``reduceat``: ``(step values, cumulative masses)``."""
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(values)) + 1))
+    return values[starts], np.cumsum(np.add.reduceat(masses, starts))
+
+
+def reference_lorentz_norm(values, cum, p, r):
+    """Lorentz norm of a step profile with both powers of every piece taken."""
+    if r == INF:
+        return float(np.max(values * cum ** (1.0 / p)))
+    prev = np.concatenate(([0.0], cum[:-1]))
+    return float(np.sum(values**r * (p / r) * (cum ** (r / p) - prev ** (r / p)))) ** (1.0 / r)
 
 
 @st.composite
@@ -102,6 +137,7 @@ class TestRearrangementProfileValidation:
             [-1.0],
             [np.nan],
             [3.0, np.nan, 1.0],
+            [INF, 1.0],
         ],
     )
     def test_rejects_values_not_strictly_decreasing_and_positive(self, values):
@@ -110,12 +146,19 @@ class TestRearrangementProfileValidation:
             RearrangementProfile(np.array(values), cum)
 
     @pytest.mark.parametrize(
-        "cum", [[0.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, 2.0, 2.0], [np.nan], [1.0, np.nan]]
+        "cum",
+        [[0.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, 2.0, 2.0], [np.nan], [1.0, np.nan], [1.0, INF]],
     )
     def test_rejects_cumulative_masses_not_strictly_increasing_and_positive(self, cum):
         values = np.arange(len(cum), 0.0, -1.0)
         with pytest.raises(ValueError, match="strictly increasing and positive"):
             RearrangementProfile(values, np.array(cum))
+
+    def test_rejects_infinite_value_and_mass(self):
+        # Without the check this profile reached lorentz_norm(..., (2, inf)) and
+        # distribution(0.5), which both returned inf.
+        with pytest.raises(ValueError, match="finite"):
+            RearrangementProfile(np.array([INF, 1.0]), np.array([1.0, INF]))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(finite_positive, min_size=1, max_size=30, unique=True))
@@ -168,6 +211,32 @@ class TestRearrangement:
         assert distribution_function(v, 2.5) == 1.0
         assert distribution_function(v, 0.5) == 3.0
         assert distribution_function(v, 4.0) == 0.0
+
+
+class TestTieMerge:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_or_tie_free())
+    def test_bit_identical_to_reduceat_merge(self, drawn):
+        values, masses = drawn
+        order = np.argsort(values, kind="stable")[::-1]
+        values, masses = values[order], masses[order]
+        want_values, want_cum = reference_merge(values, masses)
+        prof = _profile_from_sorted(values, masses)
+        assert np.array_equal(prof.values, want_values)
+        assert np.array_equal(prof.cum_masses, want_cum)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_or_tie_free(), st.sampled_from([1.5, 2.0, 3.7]), st.sampled_from([1.0, "p", 2.5, INF]))
+    def test_lorentz_norm_bit_identical_to_two_power_formula(self, drawn, p, r):
+        r = p if r == "p" else r
+        values, masses = drawn
+        order = np.argsort(values, kind="stable")[::-1]
+        values, masses = values[order], masses[order]
+        want = reference_lorentz_norm(*reference_merge(values, masses), p, r)
+        prof = _profile_from_sorted(values, masses)
+        cum_before = prof.cum_masses.copy()
+        assert lorentz_norm(prof, (p, r)) == want
+        assert np.array_equal(prof.cum_masses, cum_before)
 
 
 class TestLorentzNorm:

@@ -192,6 +192,16 @@ class TestScaleCounts:
         with pytest.raises(ValueError):
             scale_counts(0.5, range(1, 3), "rounded")
 
+    @pytest.mark.parametrize("mode", ["exact", "integer"])
+    def test_overflowing_count_names_its_scale(self, mode):
+        # 2**(0.5 * 2048) = 2**1024 is past the largest float; scale 2047 fits
+        # in exact mode, while the integer bracket's upper edge 2**(0.5 * 2048)
+        # already overflows there
+        first = 2048 if mode == "exact" else 2047
+        assert len(scale_counts(0.5, range(first - 3, first), mode)) == 3
+        with pytest.raises(ArithmeticError, match=f"scale {first}:"):
+            scale_counts(0.5, range(first - 3, first + 5), mode)
+
 
 class TestFamilies:
     def test_closed_form_family_structure(self):
