@@ -57,6 +57,17 @@ def _inv(x: float) -> float:
     return 0.0 if x == _INF else 1.0 / x
 
 
+def _power_sum_log2(exps, r: float) -> float:
+    """``log2 (sum_i 2**(r*e_i))**(1/r)`` for base-2 exponents ``e_i``, the
+    ``l^r`` norm of ``2**e`` in log form: ``m + log2(sum_i 2**(r*(e_i - m)))/r``
+    with ``m = max_i e_i``, so no power leaves the float range.  ``r = inf``
+    gives ``m``."""
+    m = float(np.max(exps))
+    if r == _INF:
+        return m
+    return m + math.log2(float(np.sum(2.0 ** (r * (exps - m))))) / r
+
+
 def conjugate_exponent(r: float) -> float:
     """Dual exponent ``r / (r - 1)`` with the limit conventions 1 <-> inf."""
     r = _check_exponent("exponent", r)
@@ -271,9 +282,11 @@ def lorentz_norm(v, params) -> float:
     p, r = params.p, params.r
     if r == _INF:
         return float(np.max(values * cum ** (1.0 / p)))
-    steps = cum ** (r / p)
-    steps[1:] -= steps[:-1]
-    total = float(np.sum(values**r * (p / r) * steps))
+    # an overflow surfaces as a non-finite total, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = cum ** (r / p)
+        steps[1:] -= steps[:-1]
+        total = float(np.sum(values**r * (p / r) * steps))
     if not math.isfinite(total):
         raise ArithmeticError("Lorentz integral diverged on this profile")
     return total ** (1.0 / r)

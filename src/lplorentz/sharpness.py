@@ -10,14 +10,17 @@ obtained from the pairing grows like ``L**(1/r)``.  Fitting these growth
 rates over a sweep of ``L`` shows the inequality ratio grows like
 ``L**(1/r - 1/r_star)`` whenever ``1/r > 1/r_star``.
 
-The Besov bounds and the pairing are closed forms.  The Lorentz norm of
-``g_L`` is evaluated on an exact merge of per-scale copies of the atom's
-rearrangement *sampled* at ``grid_resolution`` midpoints (4096 by default),
-so it is exact for the sampled atom, not for the polynomial one; acceptance
-test 8 bounds that sampling error at 2 % against rasterized fields.  A sweep
-sorts the distribution entries of its largest sum once and reads every
-level off that order.  Rasterization appears only in cross-check oracles
-for small ``L``.
+The Besov bounds and the pairing are closed forms.  The dual Lorentz norm
+of ``g_L`` is computed from the atom's rearrangement *sampled* at
+``grid_resolution`` midpoints (4096 by default), so it is exact for the
+sampled atom, not for the polynomial one; acceptance test 8 bounds that
+sampling error at 2 % against rasterized fields.  When ``r = p`` the dual
+space is ``L^{p'}`` and the norm is the ``l^{p'}`` sum of the per-scale
+norms, summed in base-2 logs.  Otherwise it is evaluated on an exact merge
+of per-scale copies of the sampled rearrangement: a sweep sorts the
+distribution entries of its largest sum once and reads every level off
+that order.  Rasterization appears only in cross-check oracles for small
+``L``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .norms import (
     MeasuredValues,
     RearrangementProfile,
     _inv,
+    _power_sum_log2,
     _profile_from_sorted,
     conjugate_exponent,
     lorentz_norm,
@@ -474,19 +478,11 @@ def atomic_besov_upper(s: AtomicSum, spaceparams) -> float:
             f"|s|={abs(spaceparams.s)!r} must stay below the atom's vanishing-moment order {s.atom.moments}"
         )
     q, r = spaceparams.p, spaceparams.q
-    exps = np.array(
-        [
-            j * (spaceparams.s + s.coeff_exp - s.n * _inv(q)) + _inv(q) * math.log2(c)
-            for j, c in zip(s.scales, s.counts)
-        ]
-    )
-    m = float(np.max(exps))
-    if r == _INF:
-        scale_sum = 2.0**m
-    else:
-        scale_sum = 2.0 ** (m + math.log2(float(np.sum(2.0 ** (r * (exps - m))))) / r)
+    iq = _inv(q)
+    slope = spaceparams.s + s.coeff_exp - s.n * iq
+    exps = np.array([j * slope + iq * math.log2(c) for j, c in zip(s.scales, s.counts)])
     constant = _atom_besov_calibration(tuple(s.atom.profile_coefficients.tolist()), spaceparams.s, q, r)
-    return constant * scale_sum
+    return constant * 2.0 ** _power_sum_log2(exps, r)
 
 
 def atomic_distribution(s: AtomicSum) -> RearrangementProfile:
@@ -498,7 +494,8 @@ def atomic_distribution(s: AtomicSum) -> RearrangementProfile:
     values scaled by ``2**(j*coeff_exp)`` and masses by ``counts[j] * 2**(-j*n)``.
     The merge is exact for the atom sampled at ``grid_resolution`` midpoints;
     against the true atom it carries that sampling error, which acceptance
-    test 8 bounds at 2 %.
+    test 8 bounds at 2 %.  A growth sweep merges only when ``r != p``; at
+    ``r = p`` its dual norm needs no distribution (see :func:`_dual_norms`).
     """
     return next(_prefix_distributions(s, [len(s.scales)]))
 
@@ -550,6 +547,26 @@ def _prefix_distributions(s: AtomicSum, levels):
     for level in levels:
         keep = scale < level
         yield _profile_from_sorted(values[keep], masses[keep])
+
+
+def _dual_norms(s: AtomicSum, levels, dual: LorentzParams) -> list[float]:
+    """Lorentz norm ``||g_L||_{p',r'}`` in the space ``dual`` of the sum
+    ``g_L`` over the first ``L`` scales of ``s``, for each ``L`` in ``levels``.
+
+    For ``r' = p'`` the space is ``L^{p'}`` and the supports are disjoint, so
+    the norm is the ``l^{p'}`` sum of the per-scale norms
+    ``2**(j*coeff_exp) * (counts[j] * 2**(-j*n))**(1/p') * ||a||_{p'}``, with
+    ``a`` the atom's sampled rearrangement (the entries
+    :func:`atomic_distribution` merges).  It is summed in base-2 logs, so no
+    level sorts and no scale leaves the float range.  For ``r' != p'`` each
+    level's norm is evaluated on :func:`_prefix_distributions`.
+    """
+    if dual.r != dual.p:
+        return [lorentz_norm(profile, dual) for profile in _prefix_distributions(s, levels)]
+    scales = np.asarray(s.scales, dtype=float)
+    log_atom = math.log2(lorentz_norm(s.atom.rearrangement, dual))
+    exps = scales * s.coeff_exp + (np.log2(s.counts) - scales * s.n) / dual.p + log_atom
+    return [2.0 ** _power_sum_log2(exps[:level], dual.p) for level in levels]
 
 
 def pairing(f: AtomicSum, g: AtomicSum) -> float:
@@ -609,7 +626,9 @@ def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResu
     Uses exact real counts so that every scale contributes equally: the two
     Besov bounds of ``f_L`` are then exactly proportional to ``L**(1/r0)``
     and ``L**(1/r1)``, the pairing to ``L``, and the Lorentz lower bound
-    ``pairing / ||g_L||_{p',r'}`` approaches ``L**(1/r)``.  The fitted slopes
+    ``pairing / ||g_L||_{p',r'}`` approaches ``L**(1/r)``.  The dual norm is
+    a closed-form ``l^{p'}`` sum over scales when ``r = p`` and a merge of
+    the sampled distribution otherwise (:func:`_dual_norms`).  The fitted slopes
     are checked here (2%, 2%, 1%, 3% tolerances); the ratio slope is returned
     for the caller to compare against ``1/r - 1/r_star``.
 
@@ -622,12 +641,11 @@ def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResu
     dual = LorentzParams(conjugate_exponent(params.p), conjugate_exponent(params.r))
     _, g_top = build_closed_form_family(params, atom, levels[-1])
     records = []
-    for level, g_profile in zip(levels, _prefix_distributions(g_top, levels)):
+    for level, g_dual_norm in zip(levels, _dual_norms(g_top, levels, dual)):
         f_sum, g_sum = build_closed_form_family(params, atom, level)
         besov0 = atomic_besov_upper(f_sum, BesovParams(params.alpha, params.q0, params.r0))
         besov1 = atomic_besov_upper(f_sum, BesovParams(-params.beta, params.q1, params.r1))
         pair = pairing(f_sum, g_sum)
-        g_dual_norm = lorentz_norm(g_profile, dual)
         lorentz_lower = pair / g_dual_norm
         rhs_product = besov0 ** (1.0 - theta) * besov1**theta
         records.append(

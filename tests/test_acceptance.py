@@ -246,7 +246,9 @@ class TestAcceptance:
         # sampled profile) and the pairing closed form agree with
         # brute-force rasterization at grid 2**12 for L <= 3: integrated
         # rearrangement-profile distance, Lorentz norms, and the pairing
-        # quadrature all within 2%.
+        # quadrature all within 2%.  The growth sweep's dual norms read the
+        # same sampled profile (merged for r != p, per-scale sums for r = p),
+        # so this bounds their sampling error too.
         params = build_params(1, 0.25, 0.25, 1.0, INF, 2.0, 2.0)
         atom = build_atom(2)
         worst_profile = worst_norm = worst_pairing = 0.0

@@ -319,10 +319,31 @@ class TestSharpnessCommand:
         assert code == 1
         assert "failure:" in captured.err
 
+    @pytest.mark.parametrize("l_max", ["1024", "8192"])
+    def test_equal_exponent_sweep_stays_in_float_range(self, l_max, capsys):
+        # alpha = beta = 1/2 with r = p = 2: the coefficients 2**(j/2) square
+        # past the float range from scale 1024 on, but the closed-form dual
+        # norm is summed in base-2 logs and the sweep completes.
+        code = main(
+            [
+                "sharpness",
+                "--alpha", "0.5", "--beta", "0.5",
+                "--q0", "1", "--q1", "inf",
+                "--r0", "2", "--r1", "2",
+                "--Lmin", "8", "--Lmax", l_max,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        _, _, rows, payload = split_sharpness_output(captured.out)
+        assert int(rows[-1][0]) == int(l_max)
+        assert payload["slopes"]["lorentz_lower"] == pytest.approx(0.5, rel=0.03)
+
     def test_float_range_exhaustion_is_runtime_failure(self, capsys):
-        # From scale 1075 on the masses 2**(-j) underflow, and at scale 2048 the
-        # counts 2**(delta*j) overflow: a runtime failure (exit 1) naming that
-        # scale, not a bad flag (exit 2).
+        # At scale 2048 the counts 2**(delta*j) = 2**(j/2) overflow before any
+        # norm is evaluated: a runtime failure (exit 1) naming that scale, not
+        # a bad flag (exit 2).
         code = main(self.CANONICAL + ["--Lmax", "2048"])
         captured = capsys.readouterr()
         assert code == 1

@@ -1,6 +1,7 @@
 """Tests for rearrangements and the rearrangement-based norm family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from lplorentz.norms import (
     rearrangement,
     triebel_seminorm,
 )
-from lplorentz.norms import _profile_from_sorted
+from lplorentz.norms import _power_sum_log2, _profile_from_sorted
 from lplorentz.spectral import GridSpec, SampledField, decompose, make_cutoff_profile
 
 INF = math.inf
@@ -286,6 +287,39 @@ class TestLorentzNorm:
     def test_zero_input_gives_zero(self):
         v = MeasuredValues(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
         assert lorentz_norm(v, LorentzParams(2.0, 2.0)) == 0.0
+
+    @pytest.mark.parametrize(
+        "values, masses, params",
+        [
+            ([1e200, 3e199], [1.0, 1.0], (2.0, 2.0)),  # values**r overflows
+            ([2.0, 1.0], [1e300, 1e300], (2.0, 4.0)),  # S**(r/p) overflows, inf - inf
+        ],
+        ids=["value-power", "mass-power"],
+    )
+    def test_overflow_raises_without_runtime_warning(self, values, masses, params):
+        # stderr must not depend on where numpy's warning points to
+        v = MeasuredValues(np.array(values), np.array(masses))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="diverged"):
+                lorentz_norm(v, LorentzParams(*params))
+
+
+class TestPowerSumLog2:
+    def test_matches_direct_sum_in_range(self):
+        exps = np.array([-3.5, 0.25, 2.0, 7.125])
+        for r in (1.0, 2.0, 4.0 / 3.0, 5.5):
+            want = math.log2(float(np.sum((2.0**exps) ** r))) / r
+            assert _power_sum_log2(exps, r) == pytest.approx(want, rel=1e-14)
+        assert _power_sum_log2(exps, INF) == 7.125
+
+    def test_exponents_past_the_float_range(self):
+        # 2**2000 and 2**-2000 are not floats; their l^r sums still are in log form
+        for shift in (2000.0, -2000.0):
+            exps = np.full(4, shift)
+            assert _power_sum_log2(exps, 2.0) == shift + 1.0
+            assert _power_sum_log2(exps, 1.0) == shift + 2.0
+            assert _power_sum_log2(exps, INF) == shift
 
     def test_raw_norms_are_not_monotone_in_second_exponent(self):
         # the unnormalized scale: for an indicator, the (2,6) norm is strictly

@@ -520,9 +520,13 @@ class TestGrowthExperiment:
         ids=["composed", "violating", "half", "endpoint"],
     )
     def test_records_equal_per_level_reference_bit_for_bit(self, params):
+        # Every shape here has r = p, so the dual norm is the closed-form l^p'
+        # sum of per-scale atom norms: equal to the merged reference up to
+        # rounding.  The closed-form columns stay bit for bit.
         atom = build_atom(2)
         levels = default_level_grid(8, 64)
         dual = LorentzParams(conjugate_exponent(params.p), conjugate_exponent(params.r))
+        assert dual.r == dual.p
         result = growth_experiment(params, atom, levels)
         for level, record in zip(levels, result.records):
             f_sum, g_sum = build_closed_form_family(params, atom, level)
@@ -531,21 +535,49 @@ class TestGrowthExperiment:
             pair = pairing(f_sum, g_sum)
             g_dual_norm = lorentz_norm(reference_distribution(g_sum), dual)
             rhs_product = besov0 ** (1.0 - params.theta) * besov1**params.theta
-            assert record == {
+            assert {key: record[key] for key in ("L", "besov0", "besov1", "pairing", "rhs_product")} == {
                 "L": level,
                 "besov0": besov0,
                 "besov1": besov1,
                 "pairing": pair,
-                "g_dual_norm": g_dual_norm,
-                "lorentz_lower": pair / g_dual_norm,
                 "rhs_product": rhs_product,
-                "ratio": pair / g_dual_norm / rhs_product,
             }
+            assert record["g_dual_norm"] == pytest.approx(g_dual_norm, rel=1e-13)
+            assert record["lorentz_lower"] == pytest.approx(pair / g_dual_norm, rel=1e-13)
+            assert record["ratio"] == pytest.approx(pair / g_dual_norm / rhs_product, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "params", [canonical_params(r0=4.0, r1=4.0), canonical_params(r0=2.0, r1=4.0)], ids=["r4-r4", "r2-r4"]
+    )
+    def test_merged_dual_norms_equal_per_level_reference_bit_for_bit(self, params):
+        # r != p (duals (2, 4/3) and (2, 8/5)): each level's norm is read off
+        # the one-sort merge and equals a fresh rearrangement exactly.
+        atom = build_atom(2)
+        levels = default_level_grid(8, 64)
+        dual = LorentzParams(conjugate_exponent(params.p), conjugate_exponent(params.r))
+        assert dual.r != dual.p
+        _, g_top = build_closed_form_family(params, atom, levels[-1])
+        norms = sharpness._dual_norms(g_top, levels, dual)
+        assert norms == [
+            lorentz_norm(reference_distribution(build_closed_form_family(params, atom, level)[1]), dual)
+            for level in levels
+        ]
 
     def test_mass_underflow_is_an_arithmetic_error(self):
-        # c_j * 2**(-j) with c_j = 2**(j/2): 2**(-j) is 0.0 from j = 1075 on.
+        # r = 4 != p = 2 merges the distribution, whose masses c_j * 2**(-j)
+        # with c_j = 2**(j/2) need 2**(-j), which is 0.0 from j = 1075 on.
         with pytest.raises(ArithmeticError, match="scale 1075"):
-            growth_experiment(canonical_params(), build_atom(2), default_level_grid(8, 1536))
+            growth_experiment(canonical_params(r0=4.0, r1=4.0), build_atom(2), default_level_grid(8, 1536))
+
+    def test_closed_form_dual_norm_passes_the_float_range(self):
+        # r = p: the dual norm is summed in base-2 logs, so the sweep that
+        # merged masses would underflow at scale 1075 completes with exact
+        # equal-contribution slopes.
+        result = growth_experiment(canonical_params(), build_atom(2), default_level_grid(8, 1536))
+        assert result.levels[-1] == 1536
+        assert result.slopes["lorentz_lower"] == pytest.approx(0.5, abs=1e-12)
+        assert result.slopes["pairing"] == pytest.approx(1.0, abs=1e-12)
+        assert abs(result.slopes["ratio"]) <= 1e-12
 
     def test_slow_dual_norm_convergence_is_reported_not_hidden(self):
         # For r0 = 2, r1 = 4 the target r = r_star = 8/3 needs the dual
