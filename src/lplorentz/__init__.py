@@ -17,7 +17,6 @@ from .spectral import (
     load_field,
     lowest_scale_for_dc_only,
     make_cutoff_profile,
-    random_band_limited_field,
     reconstruct,
     save_field,
 )
@@ -28,7 +27,6 @@ from .norms import (
     RearrangementProfile,
     besov_seminorm,
     conjugate_exponent,
-    distribution_function,
     lebesgue_norm,
     lorentz_embedding_constant,
     lorentz_norm,
@@ -48,7 +46,6 @@ from .interpolation import (
     interpolation_norm_K,
     j_bound,
     j_bound_constant,
-    j_method_norm,
     j_sum_functional,
     k_functional_L1_Linf,
     layer_cake_bound_ratio,

@@ -26,6 +26,7 @@ from .norms import (
     LorentzParams,
     MeasuredValues,
     _check_exponent,
+    _compose,
     _inv,
     besov_seminorm,
     lorentz_norm,
@@ -67,8 +68,8 @@ class CaseParams:
 
     ``alpha, beta`` are the positive/negative regularities; ``q0, q1`` the
     inner integrabilities of the two seminorms; ``r0, r1`` their outer scale
-    exponents; ``(p, r)`` the Lorentz target.  ``theta``, ``p`` and ``r_star``
-    are derived:
+    exponents; ``(p, r)`` the Lorentz target, where ``r = None`` selects
+    ``r_star``.  ``theta``, ``p`` and ``r_star`` are derived:
 
     - ``theta = alpha / (alpha + beta)`` (so ``alpha*(1-theta) = beta*theta``),
     - ``1/p = (1-theta)/q0 + theta/q1``,
@@ -84,23 +85,32 @@ class CaseParams:
     q1: float
     r0: float
     r1: float
-    r: float
-    theta: float
-    p: float
-    r_star: float
+    r: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
-        for name in ("q0", "q1", "r0", "r1", "r"):
+        alpha, beta = self.alpha, self.beta
+        if not (math.isfinite(alpha) and alpha > 0 and math.isfinite(beta) and beta > 0):
+            raise ValueError("alpha and beta must be positive reals")
+        for name in ("q0", "q1", "r0", "r1"):
             object.__setattr__(self, name, _check_exponent(name, getattr(self, name)))
-        cancel = self.alpha * (1.0 - self.theta) - self.beta * self.theta
-        if abs(cancel) > 1e-12 * max(1.0, self.alpha, self.beta):
-            raise ValueError(f"theta inconsistent with alpha/(alpha+beta): residual {cancel!r}")
-        if not (1.0 < self.p < _INF):
-            raise ValueError(f"derived p must lie in (1, inf), got {self.p!r}")
+        if not 1.0 < self.p < _INF:
+            raise ValueError(
+                f"composed integrability 1/p={_inv(self.p)!r} leaves (0, 1); p must be in (1, inf)"
+            )
+        r = self.r_star if self.r is None else _check_exponent("r", self.r)
+        object.__setattr__(self, "r", r)
+
+    @property
+    def theta(self) -> float:
+        return self.alpha / (self.alpha + self.beta)
+
+    @property
+    def p(self) -> float:
+        return _compose(self.theta, self.q0, self.q1)
+
+    @property
+    def r_star(self) -> float:
+        return _compose(self.theta, self.r0, self.r1)
 
 
 def derive_params(
@@ -111,38 +121,9 @@ def derive_params(
     r0: float,
     r1: float,
     r: float | None = None,
-    *,
-    theta: float | None = None,
-    p: float | None = None,
-    r_star: float | None = None,
 ) -> CaseParams:
-    """Fill the derived fields ``theta``, ``p``, ``r_star`` from the free ones.
-
-    ``r`` defaults to the composed exponent ``r_star``.  Manual overrides for
-    the derived fields are accepted only when consistent to 1e-12.
-    """
-    alpha, beta = float(alpha), float(beta)
-    if not (math.isfinite(alpha) and alpha > 0 and math.isfinite(beta) and beta > 0):
-        raise ValueError("alpha and beta must be positive reals")
-    q0, q1 = _check_exponent("q0", q0), _check_exponent("q1", q1)
-    r0, r1 = _check_exponent("r0", r0), _check_exponent("r1", r1)
-    theta_d = alpha / (alpha + beta)
-    inv_p = (1.0 - theta_d) * _inv(q0) + theta_d * _inv(q1)
-    if not 0.0 < inv_p < 1.0:
-        raise ValueError(f"composed integrability 1/p={inv_p!r} leaves (0, 1); p must be in (1, inf)")
-    p_d = 1.0 / inv_p
-    inv_rs = (1.0 - theta_d) * _inv(r0) + theta_d * _inv(r1)
-    rs_d = _INF if inv_rs == 0.0 else 1.0 / inv_rs
-
-    for given, derived, name in ((theta, theta_d, "theta"), (p, p_d, "p"), (r_star, rs_d, "r_star")):
-        if given is not None:
-            given = float(given)
-            if given == derived:
-                continue
-            if given == _INF or derived == _INF or abs(given - derived) > 1e-12 * max(1.0, abs(derived)):
-                raise ValueError(f"{name} override {given!r} inconsistent with derived {derived!r}")
-    r_val = rs_d if r is None else _check_exponent("r", r)
-    return CaseParams(alpha, beta, q0, q1, r0, r1, r_val, theta_d, p_d, rs_d)
+    """Parameter set of one case; ``r`` defaults to the composed exponent ``r_star``."""
+    return CaseParams(alpha, beta, q0, q1, r0, r1, r)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +411,7 @@ def generate_field(generator: str, rng: np.random.Generator, grid: GridSpec) -> 
 @dataclass(frozen=True)
 class SuiteSummary:
     """Aggregate of a verification suite: all reports (ordered by instance),
-    the maximal ratio and the identifying descriptor of the worst instance.
-    ``max_ratio`` is ``None`` for an empty suite."""
+    the maximal ratio and the identifying descriptor of the worst instance."""
 
     case: CaseParams
     generator: str
@@ -439,9 +419,9 @@ class SuiteSummary:
     grid_points: int
     seed: int
     reports: list[VerificationReport]
-    max_ratio: float | None
-    argmax_id: int | None
-    argmax_descriptor: str | None
+    max_ratio: float
+    argmax_id: int
+    argmax_descriptor: str
 
 
 def run_suite(
@@ -451,7 +431,7 @@ def run_suite(
     seed: int,
     grid_points: int = 4096,
 ) -> SuiteSummary:
-    """Measure the inequality ratio over ``count`` seeded random fields.
+    """Measure the inequality ratio over ``count >= 1`` seeded random fields.
 
     Each instance draws its own child generator from the master seed, so
     results are reproducible instance by instance: the first ``k`` reports
@@ -459,8 +439,8 @@ def run_suite(
     """
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}; expected one of {GENERATORS}")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     grid = make_suite_grid(grid_points, generator)
     j_min, j_max = _suite_scale_range(generator, grid)
     children = np.random.SeedSequence(seed).spawn(count)
@@ -471,8 +451,6 @@ def run_suite(
         d = decompose(field, _PROFILE, j_min, j_max)
         descriptor = f"{generator}[instance={instance_id}, seed={seed}, grid={grid_points}]"
         reports.append(verify_case(case, d, instance_id, descriptor))
-    if not reports:
-        return SuiteSummary(case, generator, count, grid_points, seed, [], None, None, None)
     worst = max(reports, key=lambda rep: rep.ratio)
     return SuiteSummary(
         case,

@@ -16,14 +16,18 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .norms import (
     LorentzParams,
     MeasuredValues,
+    _as_lorentz_params,
+    _check_exponent,
+    _compose,
     _inv,
+    _power_sum_log2,
     conjugate_exponent,
     lebesgue_norm,
     lorentz_norm,
@@ -40,7 +44,6 @@ __all__ = [
     "j_sum_functional",
     "j_bound_constant",
     "j_bound",
-    "j_method_norm",
     "trivial_decomposition",
     "layer_cake_decompose",
     "layer_cake_constant",
@@ -80,9 +83,7 @@ class InterpParams:
         theta = float(self.theta)
         if not (math.isfinite(theta) and 0.0 < theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta!r}")
-        r = float(self.r)
-        if r != _INF and not (math.isfinite(r) and r >= 1.0):
-            raise ValueError(f"r must lie in [1, inf], got {self.r!r}")
+        r = _check_exponent("r", self.r)
         rho = float(self.rho)
         if not (math.isfinite(rho) and rho > 0.0 and rho != 1.0):
             raise ValueError(f"rho must be positive, finite and != 1, got {self.rho!r}")
@@ -93,56 +94,44 @@ class InterpParams:
 
 @dataclass(frozen=True, eq=False)
 class JDecomposition:
-    """A finite decomposition ``f = sum_j pieces[j]`` with per-piece endpoint norms.
+    """A finite decomposition ``f = sum_k pieces[k]`` on one measure space,
+    with per-piece scales and endpoint norms.
 
-    ``norms0[j]`` and ``norms1[j]`` are the norms of ``pieces[j]`` in the two
-    endpoint spaces of the couple under consideration (L1 and Linf for the
-    layer-cake construction; any other pair for reiteration experiments).
+    ``pieces`` has shape ``(K, n)``: row ``k`` holds the values of piece
+    ``k``, at scale ``scales[k]``, on the ``n`` entries whose masses are
+    ``masses``.  ``norms0[k]`` and ``norms1[k]`` are the norms of piece ``k``
+    in the two endpoint spaces of the couple under consideration (L1 and
+    Linf for the layer-cake construction; any other pair for reiteration
+    experiments).  The product bound of :func:`j_bound` is invariant under a
+    common integer shift of ``scales``.
     """
 
-    pieces: dict[int, MeasuredValues]
-    norms0: dict[int, float]
-    norms1: dict[int, float]
+    scales: np.ndarray
+    pieces: np.ndarray
+    masses: np.ndarray
+    norms0: np.ndarray
+    norms1: np.ndarray
 
     def __post_init__(self) -> None:
-        keys = set(self.pieces)
-        if set(self.norms0) != keys or set(self.norms1) != keys:
-            raise ValueError("pieces, norms0 and norms1 must share the same scale keys")
-        for d in (self.norms0, self.norms1):
-            for j, val in d.items():
-                if not (math.isfinite(val) and val >= 0):
-                    raise ValueError(f"endpoint norm at scale {j} must be finite and >= 0")
-
-    @property
-    def scales(self) -> list[int]:
-        return sorted(self.pieces)
-
-    def shifted(self, h: int) -> "JDecomposition":
-        """Same pieces relabeled ``j -> j + h``; the product bound is invariant."""
-        return JDecomposition(
-            {j + h: piece for j, piece in self.pieces.items()},
-            {j + h: v for j, v in self.norms0.items()},
-            {j + h: v for j, v in self.norms1.items()},
-        )
+        k = self.scales.shape
+        norms = (self.norms0, self.norms1)
+        if self.pieces.shape != k + self.masses.shape or any(n.shape != k for n in norms):
+            raise ValueError("pieces must be (K, n) with K scales, K norms per endpoint and n masses")
+        # min/max propagate NaN, and NaN fails every comparison
+        if k[0] and not all(n.min() >= 0.0 and n.max() < _INF for n in norms):
+            raise ValueError("endpoint norms must be finite and >= 0")
 
     def total(self) -> MeasuredValues:
-        """Entrywise sum of the pieces; requires all pieces on one measure space."""
-        scales = self.scales
-        if not scales:
-            return MeasuredValues(np.empty(0), np.empty(0))
-        first = self.pieces[scales[0]]
-        acc = first.values.copy()
-        for j in scales[1:]:
-            piece = self.pieces[j]
-            if not piece.aligned_with(first):
-                raise ValueError("pieces are not aligned on a common measure space")
-            acc = acc + piece.values
-        return MeasuredValues(acc, first.masses)
+        """Entrywise sum of the pieces."""
+        return MeasuredValues(self.pieces.sum(axis=0), self.masses)
 
 
 def trivial_decomposition(v: MeasuredValues, norm0, norm1) -> JDecomposition:
-    """Single-piece decomposition ``{0: v}`` with the given endpoint norm functions."""
-    return JDecomposition({0: v}, {0: float(norm0(v))}, {0: float(norm1(v))})
+    """Single-piece decomposition of ``v`` at scale 0 with the given endpoint norm functions."""
+    return JDecomposition(
+        np.zeros(1, dtype=np.int64), v.values[None, :], v.masses,
+        np.array([float(norm0(v))]), np.array([float(norm1(v))]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +206,24 @@ def interpolation_norm_K(v, params: InterpParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _power_sum(log_terms: np.ndarray, r: float) -> float:
-    """``( sum_i exp(r * log_terms[i]) )**(1/r)`` with max-shift stabilization."""
-    if log_terms.size == 0:
+def _weighted_sum(scales: np.ndarray, norms: np.ndarray, slope: float, r: float) -> float:
+    """``|| 2**(j*slope) * norms[j] ||_{l^r}`` over the positive norms, summed
+    in base-2 logs; 0 when no norm is positive."""
+    pos = norms > 0.0
+    if not pos.any():
         return 0.0
-    m = float(np.max(log_terms))
-    if r == _INF:
-        return math.exp(m)
-    return math.exp(m + math.log(float(np.sum(np.exp(r * (log_terms - m))))) / r)
+    return 2.0 ** _power_sum_log2(scales[pos] * slope + np.log2(norms[pos]), r)
 
 
 def j_sum_functional(d: JDecomposition, params: InterpParams) -> tuple[float, float]:
     """Weighted scale sums ``P = || rho**(-j*theta) * norms0[j] ||_{l^r}`` and
     ``Q = || rho**(j*(1-theta)) * norms1[j] ||_{l^r}`` (suprema when r = inf)."""
-    theta, r, rho = params.theta, params.r, params.rho
-    log_rho = math.log(rho)
-    logs0 = np.array(
-        [-j * theta * log_rho + math.log(n) for j, n in d.norms0.items() if n > 0.0]
+    theta, r = params.theta, params.r
+    log_rho = math.log2(params.rho)
+    return (
+        _weighted_sum(d.scales, d.norms0, -theta * log_rho, r),
+        _weighted_sum(d.scales, d.norms1, (1.0 - theta) * log_rho, r),
     )
-    logs1 = np.array(
-        [j * (1.0 - theta) * log_rho + math.log(n) for j, n in d.norms1.items() if n > 0.0]
-    )
-    return _power_sum(logs0, r), _power_sum(logs1, r)
 
 
 def j_bound_constant(params: InterpParams) -> float:
@@ -282,20 +267,6 @@ def j_bound(d: JDecomposition, params: InterpParams) -> float:
     return j_bound_constant(params) * p_sum ** (1.0 - params.theta) * q_sum**params.theta
 
 
-def j_method_norm(d: JDecomposition, params: InterpParams) -> float:
-    """Discrete decomposition norm ``|| rho**(-j*theta) * max(norms0[j], rho**j * norms1[j]) ||_{l^r}``."""
-    theta, r, rho = params.theta, params.r, params.rho
-    terms = [
-        rho ** (-j * theta) * max(d.norms0[j], rho**j * d.norms1[j]) for j in d.scales
-    ]
-    if not terms:
-        return 0.0
-    arr = np.asarray(terms)
-    if r == _INF:
-        return float(arr.max())
-    return float(np.sum(arr**r) ** (1.0 / r))
-
-
 # ---------------------------------------------------------------------------
 # Layer-cake decomposition at dyadic mass thresholds
 # ---------------------------------------------------------------------------
@@ -337,13 +308,15 @@ def layer_cake_decompose(v: MeasuredValues) -> JDecomposition:
     scale sums of :func:`j_sum_functional` satisfy
     ``P + Q <= layer_cake_constant(p, r) * lorentz_norm(v, (p, r))``.
 
-    Pieces are full-length on the measure space of ``v`` (zero off their
-    support), so they recombine entrywise to ``v`` exactly.
+    Pieces are full-length rows on the measure space of ``v`` (zero off
+    their support), in increasing scale order, so they recombine entrywise
+    to ``v`` exactly.  A ``v`` without positive values has no pieces.
     """
     values, masses = v.values, v.masses
     prof = rearrangement(v)
     if prof.values.size == 0:
-        return JDecomposition({}, {}, {})
+        return JDecomposition(np.empty(0, dtype=np.int64), np.empty((0, values.size)), masses,
+                              np.empty(0), np.empty(0))
     group_k = _threshold_index(prof.cum_masses)
     # map each positive entry to its value group (exact match by construction)
     pos = values > 0
@@ -351,13 +324,8 @@ def layer_cake_decompose(v: MeasuredValues) -> JDecomposition:
     ks = np.unique(entry_k)
     mask = np.zeros((ks.size, values.size), dtype=bool)
     mask[:, pos] = entry_k == ks[:, None]
-    piece_values = np.where(mask, values, 0.0)
-    keys = ks.tolist()
-    return JDecomposition(
-        {k: MeasuredValues(row, masses) for k, row in zip(keys, piece_values)},
-        dict(zip(keys, np.sum(piece_values * masses, axis=1).tolist())),
-        dict(zip(keys, piece_values.max(axis=1).tolist())),
-    )
+    pieces = np.where(mask, values, 0.0)
+    return JDecomposition(ks, pieces, masses, np.sum(pieces * masses, axis=1), pieces.max(axis=1))
 
 
 def layer_cake_constant(p: float, r: float) -> float:
@@ -377,8 +345,7 @@ def layer_cake_constant(p: float, r: float) -> float:
 def layer_cake_bound_ratio(v: MeasuredValues, params) -> float:
     """Ratio ``(P + Q) / (C0 * lorentz_norm(v, params))`` for the layer-cake
     decomposition of ``v``; at most 1 for every input."""
-    if not isinstance(params, LorentzParams):
-        params = LorentzParams(*params)
+    params = _as_lorentz_params(params)
     d = layer_cake_decompose(v)
     interp = InterpParams(1.0 - 1.0 / params.p, params.r, 2.0)
     p_sum, q_sum = j_sum_functional(d, interp)
@@ -584,12 +551,11 @@ def _reiteration_instance(
     theta = float(theta)
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
-    inv_p = (1.0 - theta) * _inv(p0) + theta * _inv(p1)
-    if not 0.0 < inv_p < 1.0:
-        raise ValueError(f"composed exponent p={1/inv_p if inv_p else math.inf!r} outside (1, inf)")
-    target_p = 1.0 / inv_p
+    target_p = _compose(theta, p0, p1)
+    if not 1.0 < target_p < _INF:
+        raise ValueError(f"composed exponent p={target_p!r} outside (1, inf)")
     if p0 == p1:
-        composed_inv_r = (1.0 - theta) * _inv(r0) + theta * _inv(r1)
+        composed_inv_r = _inv(_compose(theta, r0, r1))
         if abs(_inv(r) - composed_inv_r) > 1e-12:
             raise ValueError(
                 "equal-p reiteration requires 1/r = (1-theta)/r0 + theta/r1; "
@@ -611,15 +577,13 @@ def _reiteration_instance(
         size = int(rng.integers(3, 60))
         v = MeasuredValues.from_sequence(rng.lognormal(0.0, 1.5, size))
         candidates = [trivial_decomposition(v, norm0, norm1)]
+        # lognormal values are positive, so the layer cake has pieces
         cake = layer_cake_decompose(v)
-        if cake.pieces:
-            candidates.append(
-                JDecomposition(
-                    cake.pieces,
-                    {j: norm0(piece) for j, piece in cake.pieces.items()},
-                    {j: norm1(piece) for j, piece in cake.pieces.items()},
-                )
-            )
+        pieces = [MeasuredValues(row, v.masses) for row in cake.pieces]
+        candidates.append(
+            replace(cake, norms0=np.array([norm0(u) for u in pieces]),
+                    norms1=np.array([norm1(u) for u in pieces]))
+        )
         return min(j_bound(d, params) for d in candidates), lorentz_norm(v, target)
 
     return target_p, instance

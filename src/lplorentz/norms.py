@@ -27,7 +27,6 @@ __all__ = [
     "RearrangementProfile",
     "LorentzParams",
     "BesovParams",
-    "distribution_function",
     "rearrangement",
     "lorentz_norm",
     "lorentz_normalization",
@@ -55,6 +54,14 @@ def _check_exponent(name: str, value: float) -> float:
 def _inv(x: float) -> float:
     """Reciprocal ``1 / x`` with ``1 / inf = 0``."""
     return 0.0 if x == _INF else 1.0 / x
+
+
+def _compose(theta: float, a: float, b: float) -> float:
+    """Exponent ``c`` at position ``theta`` between ``a`` and ``b``:
+    ``1/c = (1-theta)/a + theta/b``, with ``1/inf = 0`` and ``c = inf`` when
+    the sum is 0."""
+    inv = (1.0 - theta) * _inv(a) + theta * _inv(b)
+    return _INF if inv == 0.0 else 1.0 / inv
 
 
 def _power_sum_log2(exps, r: float) -> float:
@@ -133,13 +140,6 @@ class MeasuredValues:
             raise ValueError("masses must be finite and strictly positive")
 
     @classmethod
-    def from_pairs(cls, pairs) -> "MeasuredValues":
-        if len(pairs) == 0:
-            return cls(np.empty(0), np.empty(0))
-        values, masses = zip(*pairs)
-        return cls(np.asarray(values, dtype=float), np.asarray(masses, dtype=float))
-
-    @classmethod
     def from_sequence(cls, seq) -> "MeasuredValues":
         """Counting-measure view of a sequence: each entry has mass 1."""
         values = np.abs(np.asarray(seq, dtype=float).ravel())
@@ -154,14 +154,6 @@ class MeasuredValues:
     @property
     def total_mass(self) -> float:
         return float(self.masses.sum())
-
-    def scaled(self, factor: float) -> "MeasuredValues":
-        if factor < 0:
-            raise ValueError("scaling factor must be nonnegative")
-        return MeasuredValues(self.values * factor, self.masses)
-
-    def restricted(self, index) -> "MeasuredValues":
-        return MeasuredValues(self.values[index], self.masses[index])
 
     def aligned_with(self, other: "MeasuredValues") -> bool:
         """Whether ``self`` and ``other`` live entrywise on the same measure space."""
@@ -215,15 +207,6 @@ class RearrangementProfile:
         return float(self.cum_masses[count - 1]) if count > 0 else 0.0
 
 
-def distribution_function(v, t: float) -> float:
-    """Total mass where the value is at least ``t > 0`` (right-closed convention)."""
-    if not t > 0:
-        raise ValueError("threshold must be positive")
-    if isinstance(v, RearrangementProfile):
-        return v.distribution(t)
-    return float(v.masses[v.values >= t].sum())
-
-
 def rearrangement(v: MeasuredValues) -> RearrangementProfile:
     """Decreasing rearrangement of measured values as a step profile.
 
@@ -272,7 +255,8 @@ def lorentz_norm(v, params) -> float:
     ``value**r * (p/r) * (S_i**(r/p) - S_{i-1}**(r/p))``, where the powers
     ``S_i**(r/p)`` are computed once and differenced in place.  For ``r = inf``
     the norm is ``sup_s s**(1/p) f*(s) = max_i value_i * S_i**(1/p)``, the
-    weak-type norm.
+    weak-type norm.  A norm that leaves the float range raises
+    ``ArithmeticError``.
     """
     params = _as_lorentz_params(params)
     prof = rearrangement(v)
@@ -280,16 +264,17 @@ def lorentz_norm(v, params) -> float:
     if values.size == 0:
         return 0.0
     p, r = params.p, params.r
-    if r == _INF:
-        return float(np.max(values * cum ** (1.0 / p)))
-    # an overflow surfaces as a non-finite total, reported below
+    # an overflow surfaces as a non-finite norm, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = cum ** (r / p)
-        steps[1:] -= steps[:-1]
-        total = float(np.sum(values**r * (p / r) * steps))
-    if not math.isfinite(total):
+        if r == _INF:
+            norm = float(np.max(values * cum ** (1.0 / p)))
+        else:
+            steps = cum ** (r / p)
+            steps[1:] -= steps[:-1]
+            norm = float(np.sum(values**r * (p / r) * steps)) ** (1.0 / r)
+    if not math.isfinite(norm):
         raise ArithmeticError("Lorentz integral diverged on this profile")
-    return total ** (1.0 / r)
+    return norm
 
 
 def lorentz_normalization(p: float, r: float) -> float:
@@ -321,9 +306,7 @@ def lorentz_embedding_constant(p: float, r0: float, r1: float) -> float:
     r1 = _check_exponent("r1", r1)
     if r1 < params.r:
         raise ValueError(f"need r0 <= r1, got r0={r0!r}, r1={r1!r}")
-    inv0 = 0.0 if params.r == _INF else 1.0 / params.r
-    inv1 = 0.0 if r1 == _INF else 1.0 / r1
-    return (params.r / params.p) ** (inv0 - inv1)
+    return (params.r / params.p) ** (_inv(params.r) - _inv(r1))
 
 
 def lebesgue_norm(v: MeasuredValues, p: float) -> float:

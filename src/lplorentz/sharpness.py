@@ -37,15 +37,17 @@ from .norms import (
     LorentzParams,
     MeasuredValues,
     RearrangementProfile,
+    _as_besov_params,
+    _compose,
     _inv,
     _power_sum_log2,
     _profile_from_sorted,
+    besov_seminorm,
     conjugate_exponent,
     lorentz_norm,
     rearrangement,
 )
 from .spectral import GridSpec, SampledField, decompose, make_cutoff_profile
-from .norms import besov_seminorm
 
 __all__ = [
     "Atom",
@@ -224,7 +226,8 @@ class SharpnessParams:
 
     Carries the case exponents, the solved ``(delta, X, Y)`` and the first
     scale ``j1``; ``theta``, the Lorentz target ``p`` and the composed outer
-    exponent ``r_star`` are derived as in the verification harness.
+    exponent ``r_star`` are derived as in the verification harness, and
+    ``r = None`` selects ``r_star``.
     """
 
     n: int
@@ -234,11 +237,15 @@ class SharpnessParams:
     q1: float
     r0: float
     r1: float
-    r: float
+    r: float | None
     delta: float
     x_exp: float
     y_exp: float
     j1: int = 1
+
+    def __post_init__(self) -> None:
+        if self.r is None:
+            object.__setattr__(self, "r", self.r_star)
 
     @property
     def theta(self) -> float:
@@ -246,12 +253,11 @@ class SharpnessParams:
 
     @property
     def p(self) -> float:
-        return 1.0 / ((1.0 - self.theta) * _inv(self.q0) + self.theta * _inv(self.q1))
+        return _compose(self.theta, self.q0, self.q1)
 
     @property
     def r_star(self) -> float:
-        inv = (1.0 - self.theta) * _inv(self.r0) + self.theta * _inv(self.r1)
-        return _INF if inv == 0.0 else 1.0 / inv
+        return _compose(self.theta, self.r0, self.r1)
 
 
 def build_params(
@@ -271,10 +277,7 @@ def build_params(
     if n != 1:
         raise ValueError("only dimension n=1 is supported for atomic families")
     delta, x_exp, y_exp = solve_exponents(n, alpha, beta, q0, q1)
-    params = SharpnessParams(n, alpha, beta, q0, q1, r0, r1, r if r is not None else 1.0, delta, x_exp, y_exp, j1)
-    if r is None:
-        params = SharpnessParams(n, alpha, beta, q0, q1, r0, r1, params.r_star, delta, x_exp, y_exp, j1)
-    return params
+    return SharpnessParams(n, alpha, beta, q0, q1, r0, r1, r, delta, x_exp, y_exp, j1)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +474,7 @@ def atomic_besov_upper(s: AtomicSum, spaceparams) -> float:
     ``C_atom`` is the measured seminorm of one unit atom at scale zero, so a
     single-term sum returns exactly that constant.
     """
-    if not isinstance(spaceparams, BesovParams):
-        spaceparams = BesovParams(*spaceparams)
+    spaceparams = _as_besov_params(spaceparams)
     if abs(spaceparams.s) >= s.atom.moments:
         raise ValueError(
             f"|s|={abs(spaceparams.s)!r} must stay below the atom's vanishing-moment order {s.atom.moments}"

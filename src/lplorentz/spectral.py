@@ -10,7 +10,9 @@ uniform grid.  This module provides:
   block ``j`` carries the part of the spectrum in the annulus
   ``2**(j-1) <= |xi| <= 2**(j+1)``, and a lowpass field carries everything
   below the first block,
-* exact telescoping reconstruction ``lowpass + sum of blocks``,
+* telescoping reconstruction ``lowpass + sum of blocks``, exact (to machine
+  precision) only for fields band-limited below ``2**(j_max + 1)``; the
+  spectrum above that is dropped,
 * JSON (de)serialization of sampled fields with an optional binary sidecar.
 
 Frequencies are measured in absolute units: the lattice frequency with
@@ -37,7 +39,6 @@ __all__ = [
     "make_cutoff_profile",
     "decompose",
     "reconstruct",
-    "random_band_limited_field",
     "lowest_scale_for_dc_only",
     "save_field",
     "load_field",
@@ -120,10 +121,6 @@ class SampledField:
             )
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must all be finite")
-
-    @classmethod
-    def from_array(cls, grid: GridSpec, values: np.ndarray) -> "SampledField":
-        return cls(grid, np.array(values, dtype=float).ravel())
 
     def as_array(self) -> np.ndarray:
         """Samples shaped ``(n,)`` in 1D or ``(n, n)`` row-major in 2D."""
@@ -260,21 +257,6 @@ def lowest_scale_for_dc_only(grid: GridSpec) -> int:
     """
     # Need phi(2**(-j) * xi_min) = 0, i.e. 2**(-j) * (2*pi/period) >= 1.
     return math.floor(math.log2(2.0 * math.pi / grid.period) + 1e-12)
-
-
-def random_band_limited_field(
-    grid: GridSpec,
-    band_lo: float,
-    band_hi: float,
-    rng: np.random.Generator,
-) -> SampledField:
-    """Gaussian random field whose spectrum is confined to ``band_lo <= |xi| <= band_hi``."""
-    mags = grid.frequency_magnitudes()
-    mask = (mags >= band_lo) & (mags <= band_hi)
-    if not np.any(mask):
-        raise ValueError(f"no lattice frequencies inside the band [{band_lo:g}, {band_hi:g}]")
-    z = rng.standard_normal(mags.shape) + 1j * rng.standard_normal(mags.shape)
-    return SampledField.from_array(grid, np.fft.ifftn(z * mask, norm="ortho").real)
 
 
 def save_field(f: SampledField, path, *, sidecar: bool = False) -> Path:

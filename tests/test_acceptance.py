@@ -142,8 +142,7 @@ class TestAcceptance:
         for _ in range(1000):
             v = random_step_values(rng)
             d = layer_cake_decompose(v)
-            stack = np.stack([d.pieces[j].values for j in d.scales])
-            carriers = (stack != 0.0).sum(axis=0)
+            carriers = (d.pieces != 0.0).sum(axis=0)
             disjoint = np.all(carriers[v.values > 0] == 1) and np.all(carriers[v.values == 0] == 0)
             reassembled = np.array_equal(d.total().values, v.values)
             structure_ok = structure_ok and bool(disjoint) and reassembled

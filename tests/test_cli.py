@@ -193,6 +193,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_empty_or_negative_count_exits_2(self, count, capsys):
+        args = list(self.ARGS)
+        args[args.index("--count") + 1] = count
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: count must be >= 1\n"
+
     def test_missing_r_choice_exits_2(self, capsys):
         args = [arg for arg in self.ARGS if arg != "--auto-r-star"]
         assert main(args) == 2

@@ -16,7 +16,6 @@ from lplorentz.norms import (
     RearrangementProfile,
     besov_seminorm,
     conjugate_exponent,
-    distribution_function,
     lebesgue_norm,
     lorentz_embedding_constant,
     lorentz_norm,
@@ -207,11 +206,11 @@ class TestRearrangement:
         assert np.array_equal(prof.evaluate(s), [3.0, 3.0, 1.0, 1.0, 0.0, 0.0])
 
     def test_distribution_uses_superlevel_convention(self):
-        v = MeasuredValues.from_sequence([3.0, 2.0, 1.0])
-        assert distribution_function(v, 2.0) == 2.0  # {|f| >= 2} has two entries
-        assert distribution_function(v, 2.5) == 1.0
-        assert distribution_function(v, 0.5) == 3.0
-        assert distribution_function(v, 4.0) == 0.0
+        prof = rearrangement(MeasuredValues.from_sequence([3.0, 2.0, 1.0]))
+        assert prof.distribution(2.0) == 2.0  # {|f| >= 2} has two entries
+        assert prof.distribution(2.5) == 1.0
+        assert prof.distribution(0.5) == 3.0
+        assert prof.distribution(4.0) == 0.0
 
 
 class TestTieMerge:
@@ -293,8 +292,9 @@ class TestLorentzNorm:
         [
             ([1e200, 3e199], [1.0, 1.0], (2.0, 2.0)),  # values**r overflows
             ([2.0, 1.0], [1e300, 1e300], (2.0, 4.0)),  # S**(r/p) overflows, inf - inf
+            ([1e200], [1e300], (1.01, INF)),  # value * S**(1/p) overflows
         ],
-        ids=["value-power", "mass-power"],
+        ids=["value-power", "mass-power", "weak-type"],
     )
     def test_overflow_raises_without_runtime_warning(self, values, masses, params):
         # stderr must not depend on where numpy's warning points to
