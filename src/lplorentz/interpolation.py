@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,8 +117,8 @@ class JDecomposition:
         norms = (self.norms0, self.norms1)
         if self.pieces.shape != k + self.masses.shape or any(n.shape != k for n in norms):
             raise ValueError("pieces must be (K, n) with K scales, K norms per endpoint and n masses")
-        # min/max propagate NaN, and NaN fails every comparison
-        if k[0] and not all(n.min() >= 0.0 and n.max() < _INF for n in norms):
+        # NaN fails every comparison
+        if not all(0.0 <= x < _INF for n in norms for x in n.tolist()):
             raise ValueError("endpoint norms must be finite and >= 0")
 
     def total(self) -> MeasuredValues:
@@ -209,10 +209,9 @@ def interpolation_norm_K(v, params: InterpParams) -> float:
 def _weighted_sum(scales: np.ndarray, norms: np.ndarray, slope: float, r: float) -> float:
     """``|| 2**(j*slope) * norms[j] ||_{l^r}`` over the positive norms, summed
     in base-2 logs; 0 when no norm is positive."""
-    pos = norms > 0.0
-    if not pos.any():
-        return 0.0
-    return 2.0 ** _power_sum_log2(scales[pos] * slope + np.log2(norms[pos]), r)
+    # a J-decomposition has a few pieces, so Python floats beat numpy calls here
+    exps = [j * slope + math.log2(n) for j, n in zip(scales.tolist(), norms.tolist()) if n > 0.0]
+    return 2.0 ** _power_sum_log2(np.array(exps), r) if exps else 0.0
 
 
 def j_sum_functional(d: JDecomposition, params: InterpParams) -> tuple[float, float]:
@@ -581,8 +580,8 @@ def _reiteration_instance(
         cake = layer_cake_decompose(v)
         pieces = [MeasuredValues(row, v.masses) for row in cake.pieces]
         candidates.append(
-            replace(cake, norms0=np.array([norm0(u) for u in pieces]),
-                    norms1=np.array([norm1(u) for u in pieces]))
+            JDecomposition(cake.scales, cake.pieces, cake.masses,
+                           np.array([norm0(u) for u in pieces]), np.array([norm1(u) for u in pieces]))
         )
         return min(j_bound(d, params) for d in candidates), lorentz_norm(v, target)
 
