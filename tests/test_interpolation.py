@@ -293,8 +293,9 @@ class TestWeightedDecompositionBound:
             JDecomposition(np.array([0]), np.array([one]), np.ones(2), one, one)
         with pytest.raises(ValueError):
             JDecomposition(np.array([0]), np.array([one]), one, -one, one)
-        with pytest.raises(ValueError):
-            JDecomposition(np.array([0]), np.array([one]), one, one, np.array([INF]))
+        for bad in (INF, np.nan):
+            with pytest.raises(ValueError):
+                JDecomposition(np.array([0]), np.array([one]), one, one, np.array([bad]))
 
 
 class TestLayerCake:
