@@ -2,7 +2,8 @@
 with recorded reports under ``tests/golden/``.
 
 Every report runs without ``--out``, so the ``# config:`` line holds no path.
-The comparison is exact bytes, with two exceptions:
+The comparison is exact bytes, with two exceptions (neither applies to the
+JSON reports, which pin the ``summary`` object and compare as exact bytes):
 
 - the ``lhs`` and ``ratio`` cells of the ``layer-cake`` and ``reiteration``
   interp reports are compared at relative tolerance ``4e-15``, because their
@@ -46,7 +47,15 @@ REPORTS = {
         for gen in _GENERATORS
         for case, exps in _VERIFY_CASES.items()
     },
+    **{
+        f"verify-{gen}-readme-json": [
+            "verify", *_README_CASE, *_VERIFY_CASES["readme"], "--auto-r-star", "--generator", gen,
+            "--count", "6", "--grid", "1024", "--format", "json",
+        ]
+        for gen in ("atomic", "single-block")
+    },
     **{f"interp-{check}": ["interp", "--check", check, "--suite-size", "40"] for check in _CHECKS},
+    "interp-duality-json": ["interp", "--check", "duality", "--format", "json", "--suite-size", "40"],
     "sharpness-composed": ["sharpness", *_README_CASE, "--r0", "2", "--r1", "2", "--Lmax", "128"],
     "sharpness-merge": [
         "sharpness", *_README_CASE, "--r0", "4", "--r1", "4", "--Lmin", "128", "--Lmax", "1024",
