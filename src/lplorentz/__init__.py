@@ -58,8 +58,6 @@ from .interpolation import (
 from .inequalities import (
     CaseParams,
     GENERATORS,
-    SuiteSummary,
-    VerificationReport,
     derive_params,
     generate_field,
     hedberg_constant,

@@ -138,6 +138,19 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit_suite(args: argparse.Namespace, records: list[dict]) -> int:
+    """Report suite records, one column per record key, with the ``max_ratio``
+    of the first worst record; ``verify`` records, which carry a descriptor,
+    also name that instance."""
+    worst = max(records, key=lambda rec: rec["ratio"])
+    summary = {"max_ratio": worst["ratio"]}
+    if "generator_descriptor" in worst:
+        summary["argmax_id"] = worst["instance_id"]
+        summary["argmax_descriptor"] = worst["generator_descriptor"]
+    emit_report(records, list(worst), _config_echo(args), summary=summary, fmt=args.format, path=args.out)
+    return 0
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     case = derive_params(
         args.alpha,
@@ -148,31 +161,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.r1,
         r=None if args.auto_r_star else args.r,
     )
-    summary = run_suite(case, args.generator, args.count, args.seed, grid_points=args.grid)
-    records = [
-        {
-            "instance_id": rep.instance_id,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "ratio": rep.ratio,
-            "generator_descriptor": rep.descriptor,
-        }
-        for rep in summary.reports
-    ]
-    stats = {
-        "max_ratio": summary.max_ratio,
-        "argmax_id": summary.argmax_id,
-        "argmax_descriptor": summary.argmax_descriptor,
-    }
-    emit_report(
-        records,
-        ["instance_id", "lhs", "rhs", "ratio", "generator_descriptor"],
-        _config_echo(args),
-        summary=stats,
-        fmt=args.format,
-        path=args.out,
-    )
-    return 0
+    return _emit_suite(args, run_suite(case, args.generator, args.count, args.seed, grid_points=args.grid))
 
 
 def _cmd_interp(args: argparse.Namespace) -> int:
@@ -186,16 +175,7 @@ def _cmd_interp(args: argparse.Namespace) -> int:
         suite_size=args.suite_size,
         seed=args.seed,
     )
-    worst = max(rec["ratio"] for rec in records)
-    emit_report(
-        records,
-        ["instance_id", "lhs", "rhs", "ratio"],
-        _config_echo(args),
-        summary={"max_ratio": worst},
-        fmt=args.format,
-        path=args.out,
-    )
-    return 0
+    return _emit_suite(args, records)
 
 
 def _cmd_sharpness(args: argparse.Namespace) -> int:
@@ -206,23 +186,7 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
     levels = default_level_grid(args.Lmin, args.Lmax)
     result = growth_experiment(params, atom, levels)
     header = _config_echo(args)
-    emit_report(
-        result.records,
-        [
-            "L",
-            "besov0",
-            "besov1",
-            "pairing",
-            "g_dual_norm",
-            "lorentz_lower",
-            "rhs_product",
-            "ratio",
-        ],
-        header,
-        summary=result.slopes,
-        fmt="csv",
-        path=args.out,
-    )
+    emit_report(result.records, list(result.records[0]), header, summary=result.slopes, fmt="csv", path=args.out)
     slopes_payload = {
         "header": header,
         "slopes": result.slopes,

@@ -44,8 +44,6 @@ from .spectral import (
 
 __all__ = [
     "CaseParams",
-    "VerificationReport",
-    "SuiteSummary",
     "AdmissibilityResult",
     "derive_params",
     "hedberg_constant",
@@ -189,27 +187,8 @@ def hedberg_pointwise(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Measured sides of one inequality instance: ``ratio = lhs / rhs`` with
-    ``lhs`` the Lorentz (p, r) norm of the reconstructed field and ``rhs`` the
-    product of the two Besov-type seminorms at powers ``(1-theta, theta)``."""
-
-    case: CaseParams
-    instance_id: int
-    lhs: float
-    rhs: float
-    ratio: float
-    descriptor: str = ""
-
-
-def verify_case(
-    case: CaseParams,
-    d: BlockDecomposition,
-    instance_id: int = 0,
-    descriptor: str = "",
-) -> VerificationReport:
-    """Measure both sides of the inequality on one block decomposition.
+def verify_case(case: CaseParams, d: BlockDecomposition) -> tuple[float, float]:
+    """Measure both sides ``(lhs, rhs)`` of the inequality on one block decomposition.
 
     The left side is the Lorentz ``(p, r)`` norm of ``reconstruct(d)``; the
     right side is ``besov(alpha, q0, r0)**(1-theta) * besov(-beta, q1, r1)**theta``.
@@ -221,13 +200,9 @@ def verify_case(
     b0 = besov_seminorm(d, BesovParams(case.alpha, case.q0, case.r0))
     b1 = besov_seminorm(d, BesovParams(-case.beta, case.q1, case.r1))
     rhs = b0 ** (1.0 - case.theta) * b1**case.theta
-    if rhs == 0.0:
-        if lhs > 1e-13 * max(1.0, float(np.max(np.abs(field.samples)))):
-            raise ArithmeticError(
-                f"zero seminorm product with nonzero field norm {lhs!r} (instance {instance_id})"
-            )
-        return VerificationReport(case, instance_id, lhs, rhs, 0.0, descriptor)
-    return VerificationReport(case, instance_id, lhs, rhs, lhs / rhs, descriptor)
+    if rhs == 0.0 and lhs > 1e-13 * max(1.0, float(np.max(np.abs(field.samples)))):
+        raise ArithmeticError(f"zero seminorm product with nonzero field norm {lhs!r}")
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -408,34 +383,19 @@ def generate_field(generator: str, rng: np.random.Generator, grid: GridSpec) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteSummary:
-    """Aggregate of a verification suite: all reports (ordered by instance),
-    the maximal ratio and the identifying descriptor of the worst instance."""
-
-    case: CaseParams
-    generator: str
-    count: int
-    grid_points: int
-    seed: int
-    reports: list[VerificationReport]
-    max_ratio: float
-    argmax_id: int
-    argmax_descriptor: str
-
-
 def run_suite(
     case: CaseParams,
     generator: str,
     count: int,
     seed: int,
     grid_points: int = 4096,
-) -> SuiteSummary:
-    """Measure the inequality ratio over ``count >= 1`` seeded random fields.
+) -> list[dict]:
+    """Measure the inequality over ``count >= 1`` seeded random fields.
 
-    Each instance draws its own child generator from the master seed, so
-    results are reproducible instance by instance: the first ``k`` reports
-    of a suite do not depend on ``count``.
+    Returns records ``{instance_id, lhs, rhs, ratio, generator_descriptor}``,
+    with ``ratio = 0`` where ``rhs = 0``.  Each instance draws its own child
+    generator from the master seed, so results are reproducible instance by
+    instance: the first ``k`` records of a suite do not depend on ``count``.
     """
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}; expected one of {GENERATORS}")
@@ -445,21 +405,19 @@ def run_suite(
     j_min, j_max = _suite_scale_range(generator, grid)
     children = np.random.SeedSequence(seed).spawn(count)
 
-    reports = []
+    records = []
     for instance_id, child in enumerate(children):
         field = generate_field(generator, np.random.default_rng(child), grid)
+        # ``d`` lives until the next ``decompose`` has run: freeing the blocks
+        # before it (``verify_case(case, decompose(...))``) made 4096-point
+        # suites about 45 % slower
         d = decompose(field, _PROFILE, j_min, j_max)
-        descriptor = f"{generator}[instance={instance_id}, seed={seed}, grid={grid_points}]"
-        reports.append(verify_case(case, d, instance_id, descriptor))
-    worst = max(reports, key=lambda rep: rep.ratio)
-    return SuiteSummary(
-        case,
-        generator,
-        count,
-        grid_points,
-        seed,
-        reports,
-        worst.ratio,
-        worst.instance_id,
-        worst.descriptor,
-    )
+        lhs, rhs = verify_case(case, d)
+        records.append({
+            "instance_id": instance_id,
+            "lhs": lhs,
+            "rhs": rhs,
+            "ratio": 0.0 if rhs == 0.0 else lhs / rhs,
+            "generator_descriptor": f"{generator}[instance={instance_id}, seed={seed}, grid={grid_points}]",
+        })
+    return records

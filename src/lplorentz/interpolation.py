@@ -341,19 +341,22 @@ def layer_cake_constant(p: float, r: float) -> float:
     return 3.0 * 2.0 ** (1.0 / params.p) * log_factor
 
 
+def _layer_cake_sides(v: MeasuredValues, params: LorentzParams) -> tuple[float, float]:
+    """``(P + Q, C0 * lorentz_norm(v, params))`` for the layer-cake decomposition of ``v``."""
+    interp = InterpParams(1.0 - 1.0 / params.p, params.r, 2.0)
+    p_sum, q_sum = j_sum_functional(layer_cake_decompose(v), interp)
+    return p_sum + q_sum, layer_cake_constant(params.p, params.r) * lorentz_norm(v, params)
+
+
 def layer_cake_bound_ratio(v: MeasuredValues, params) -> float:
     """Ratio ``(P + Q) / (C0 * lorentz_norm(v, params))`` for the layer-cake
     decomposition of ``v``; at most 1 for every input."""
-    params = _as_lorentz_params(params)
-    d = layer_cake_decompose(v)
-    interp = InterpParams(1.0 - 1.0 / params.p, params.r, 2.0)
-    p_sum, q_sum = j_sum_functional(d, interp)
-    denom = layer_cake_constant(params.p, params.r) * lorentz_norm(v, params)
-    if denom == 0.0:
-        if p_sum + q_sum > 0.0:
+    lhs, rhs = _layer_cake_sides(v, _as_lorentz_params(params))
+    if rhs == 0.0:
+        if lhs > 0.0:
             raise ArithmeticError("zero norm with nonzero decomposition sums")
         return 0.0
-    return (p_sum + q_sum) / denom
+    return lhs / rhs
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +372,17 @@ def duality_pairing_check(f: MeasuredValues, g: MeasuredValues, p: float, r: flo
     ``1/p + 1/p' = 1`` and ``1/r + 1/r' = 1``."""
     if not f.aligned_with(g):
         raise ValueError("f and g must be aligned entrywise on the same measure space")
-    params = LorentzParams(p, r)
-    pairing = float(np.sum(f.values * g.values * f.masses))
-    norm_f = lorentz_norm(f, params)
-    norm_g = lorentz_norm(
-        g, LorentzParams(conjugate_exponent(params.p), conjugate_exponent(params.r))
-    )
-    if norm_f == 0.0 or norm_g == 0.0:
+    pairing, norms = _duality_sides(f, g, LorentzParams(p, r))
+    if norms == 0.0:
         raise ValueError("duality check requires both inputs to have nonzero norm")
-    return pairing / (norm_f * norm_g)
+    return pairing / norms
+
+
+def _duality_sides(f: MeasuredValues, g: MeasuredValues, params: LorentzParams) -> tuple[float, float]:
+    """``(integral f*g dmu, ||f||_{p,r} * ||g||_{p',r'})`` for aligned ``f`` and ``g``."""
+    dual = LorentzParams(conjugate_exponent(params.p), conjugate_exponent(params.r))
+    pairing = float(np.sum(f.values * g.values * f.masses))
+    return pairing, lorentz_norm(f, params) * lorentz_norm(g, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +578,7 @@ def _reiteration_instance(
         return _endpoint_norm(v, p1, r1)
 
     def instance(rng: np.random.Generator) -> tuple[float, float]:
-        size = int(rng.integers(3, 60))
-        v = MeasuredValues.from_sequence(rng.lognormal(0.0, 1.5, size))
+        v = MeasuredValues.from_sequence(_random_sequence(rng))
         candidates = [trivial_decomposition(v, norm0, norm1)]
         # lognormal values are positive, so the layer cake has pieces
         cake = layer_cake_decompose(v)
@@ -593,11 +597,13 @@ def _reiteration_instance(
 # ---------------------------------------------------------------------------
 
 
+def _random_sequence(rng: np.random.Generator) -> np.ndarray:
+    return rng.lognormal(0.0, 1.5, int(rng.integers(3, 60)))
+
+
 def _random_step_values(rng: np.random.Generator) -> MeasuredValues:
-    size = int(rng.integers(3, 60))
-    values = rng.lognormal(0.0, 1.5, size)
-    masses = rng.uniform(0.1, 4.0, size)
-    return MeasuredValues(values, masses)
+    values = _random_sequence(rng)
+    return MeasuredValues(values, rng.uniform(0.1, 4.0, values.size))
 
 
 def _suite_records(instance: _Instance, suite_size: int, seed: int) -> list[dict]:
@@ -614,8 +620,8 @@ def _suite_records(instance: _Instance, suite_size: int, seed: int) -> list[dict
 
 
 def _k_equivalence_instance(p, r, q0, q1, theta) -> _Instance:
-    params = InterpParams(1.0 - 1.0 / p, r)
     target = LorentzParams(p, r)
+    params = InterpParams(1.0 - 1.0 / target.p, target.r)
 
     def instance(rng):
         prof = rearrangement(_random_step_values(rng))
@@ -626,19 +632,10 @@ def _k_equivalence_instance(p, r, q0, q1, theta) -> _Instance:
 
 def _layer_cake_instance(p, r, q0, q1, theta) -> _Instance:
     target = LorentzParams(p, r)
-    c0 = layer_cake_constant(p, r)
-    interp = InterpParams(1.0 - 1.0 / p, r, 2.0)
-
-    def instance(rng):
-        v = _random_step_values(rng)
-        p_sum, q_sum = j_sum_functional(layer_cake_decompose(v), interp)
-        return p_sum + q_sum, c0 * lorentz_norm(v, target)
-
-    return instance
+    return lambda rng: _layer_cake_sides(_random_step_values(rng), target)
 
 
 def _duality_instance(p, r, q0, q1, theta) -> _Instance:
-    dual = LorentzParams(conjugate_exponent(p), conjugate_exponent(r))
     params = LorentzParams(p, r)
 
     def instance(rng):
@@ -646,8 +643,7 @@ def _duality_instance(p, r, q0, q1, theta) -> _Instance:
         masses = rng.uniform(0.1, 4.0, size)
         f = MeasuredValues(rng.lognormal(0.0, 1.0, size), masses)
         g = MeasuredValues(rng.lognormal(0.0, 1.0, size), masses)
-        pairing = float(np.sum(f.values * g.values * masses))
-        return pairing, lorentz_norm(f, params) * lorentz_norm(g, dual)
+        return _duality_sides(f, g, params)
 
     return instance
 

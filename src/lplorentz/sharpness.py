@@ -38,6 +38,7 @@ from .norms import (
     MeasuredValues,
     RearrangementProfile,
     _as_besov_params,
+    _check_exponent,
     _compose,
     _inv,
     _power_sum_log2,
@@ -244,8 +245,10 @@ class SharpnessParams:
     j1: int = 1
 
     def __post_init__(self) -> None:
-        if self.r is None:
-            object.__setattr__(self, "r", self.r_star)
+        for name in ("q0", "q1", "r0", "r1"):
+            object.__setattr__(self, name, _check_exponent(name, getattr(self, name)))
+        r = self.r_star if self.r is None else _check_exponent("r", self.r)
+        object.__setattr__(self, "r", r)
 
     @property
     def theta(self) -> float:

@@ -107,13 +107,17 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class SampledField:
-    """Real samples of a function on a :class:`GridSpec`, flat row-major."""
+    """Real samples of a function on a :class:`GridSpec`, flat row-major.
+
+    The field owns a read-only copy of the samples it is given.
+    """
 
     grid: GridSpec
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float).ravel()
+        samples = np.array(self.samples, dtype=float).ravel()
+        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         if samples.size != self.grid.num_points:
             raise ValueError(

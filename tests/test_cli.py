@@ -238,6 +238,19 @@ class TestInterpCommand:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--check", "k-equivalence", "--p", "1"], "p must lie in (1, inf), got 1.0"),
+            (["--check", "duality", "--r", "0.5"], "r must lie in [1, inf], got 0.5"),
+        ],
+    )
+    def test_bad_exponent_names_its_flag(self, flags, message, capsys):
+        assert main(["interp", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "check", ["k-equivalence", "layer-cake", "partition", "duality", "reiteration"]
     )
     @pytest.mark.parametrize("size", ["0", "-3"])
@@ -307,6 +320,18 @@ class TestSharpnessCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--r0", "--q0", "--r"])
+    def test_bad_exponent_names_its_flag(self, flag, capsys):
+        args = list(self.CANONICAL)
+        if flag in args:
+            args[args.index(flag) + 1] = "0.5"
+        else:
+            args += [flag, "0.5"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag[2:]} must lie in [1, inf], got 0.5\n"
 
     def test_bad_level_range_exit_2(self, capsys):
         assert main(self.CANONICAL + ["--Lmin", "0"]) == 2

@@ -196,28 +196,22 @@ class TestVerifyCase:
         grid = make_suite_grid(1024, "multi-block-random")
         field = generate_field("multi-block-random", np.random.default_rng(11), grid)
         d = decompose(field, PROFILE, 0, 8)
-        report = verify_case(case, d, instance_id=3, descriptor="probe")
-        assert report.instance_id == 3
-        assert report.descriptor == "probe"
-        assert report.lhs > 0.0 and report.rhs > 0.0
-        assert report.ratio == report.lhs / report.rhs
+        got_lhs, got_rhs = verify_case(case, d)
+        assert got_lhs > 0.0 and got_rhs > 0.0
         # The sides are exactly the norms of the reconstruction and blocks.
         lhs = lorentz_norm(
             MeasuredValues.from_field(reconstruct(d)), LorentzParams(case.p, case.r)
         )
         b0 = besov_seminorm(d, BesovParams(case.alpha, case.q0, case.r0))
         b1 = besov_seminorm(d, BesovParams(-case.beta, case.q1, case.r1))
-        assert report.lhs == pytest.approx(lhs, rel=1e-15)
-        assert report.rhs == pytest.approx(b0 ** 0.5 * b1 ** 0.5, rel=1e-14)
+        assert got_lhs == pytest.approx(lhs, rel=1e-15)
+        assert got_rhs == pytest.approx(b0 ** 0.5 * b1 ** 0.5, rel=1e-14)
 
     def test_zero_field_reports_zero_ratio(self):
         case = canonical_case()
         grid = GridSpec(1, 512, 2.0 * math.pi)
         d = decompose(SampledField(grid, np.zeros(512)), PROFILE, 0, 6)
-        report = verify_case(case, d)
-        assert report.lhs == 0.0
-        assert report.rhs == 0.0
-        assert report.ratio == 0.0
+        assert verify_case(case, d) == (0.0, 0.0)
 
     def test_constant_field_falsifies_and_raises(self):
         # A constant lives entirely in the lowpass: every block vanishes, the
@@ -381,30 +375,31 @@ class TestGenerators:
 
 class TestSuiteRunner:
     def test_summary_structure(self):
-        case = canonical_case()
-        summary = run_suite(case, "multi-block-random", 5, seed=3, grid_points=1024)
-        assert summary.case == case
-        assert summary.generator == "multi-block-random"
-        assert summary.count == 5 == len(summary.reports)
-        assert summary.grid_points == 1024
-        assert summary.seed == 3
-        assert [rep.instance_id for rep in summary.reports] == list(range(5))
-        ratios = [rep.ratio for rep in summary.reports]
-        assert all(r > 0.0 for r in ratios)
-        assert summary.max_ratio == max(ratios)
-        assert summary.argmax_id == ratios.index(max(ratios))
-        assert (
-            summary.argmax_descriptor
-            == f"multi-block-random[instance={summary.argmax_id}, seed=3, grid=1024]"
-        )
+        records = run_suite(canonical_case(), "multi-block-random", 5, seed=3, grid_points=1024)
+        assert len(records) == 5
+        for instance_id, rec in enumerate(records):
+            assert list(rec) == ["instance_id", "lhs", "rhs", "ratio", "generator_descriptor"]
+            assert rec["instance_id"] == instance_id
+            assert rec["lhs"] > 0.0 and rec["rhs"] > 0.0
+            assert rec["ratio"] == rec["lhs"] / rec["rhs"]
+            assert (
+                rec["generator_descriptor"]
+                == f"multi-block-random[instance={instance_id}, seed=3, grid=1024]"
+            )
+
+    def test_zero_field_records_zero_ratio(self, monkeypatch):
+        def zero_field(generator, rng, grid):
+            return SampledField(grid, np.zeros(grid.points_per_axis))
+
+        monkeypatch.setattr(inequalities, "generate_field", zero_field)
+        records = run_suite(canonical_case(), "single-block", 2, seed=0, grid_points=1024)
+        assert [(rec["lhs"], rec["rhs"], rec["ratio"]) for rec in records] == [(0.0, 0.0, 0.0)] * 2
 
     def test_deterministic_across_runs(self):
         case = canonical_case()
         first = run_suite(case, "lacunary", 4, seed=1, grid_points=1024)
         second = run_suite(case, "lacunary", 4, seed=1, grid_points=1024)
-        assert [(r.lhs, r.rhs, r.ratio) for r in first.reports] == [
-            (r.lhs, r.rhs, r.ratio) for r in second.reports
-        ]
+        assert first == second
 
     def test_prefix_of_longer_suite_is_bit_identical(self):
         # Every instance draws from its own child seed, so a suite's first
@@ -412,8 +407,8 @@ class TestSuiteRunner:
         case = canonical_case()
         short = run_suite(case, "atomic", 3, seed=2, grid_points=1024)
         long = run_suite(case, "atomic", 6, seed=2, grid_points=1024)
-        assert [(r.instance_id, r.lhs, r.rhs, r.ratio) for r in short.reports] == [
-            (r.instance_id, r.lhs, r.rhs, r.ratio) for r in long.reports[:3]
+        assert [(r["instance_id"], r["lhs"], r["rhs"], r["ratio"]) for r in short] == [
+            (r["instance_id"], r["lhs"], r["rhs"], r["ratio"]) for r in long[:3]
         ]
 
     def test_empty_suite(self):

@@ -63,6 +63,16 @@ class TestSampledField:
         field = SampledField(grid, np.zeros((8, 8)))
         assert field.as_array().shape == (8, 8)
 
+    def test_owns_a_read_only_copy(self):
+        source = np.arange(8.0)
+        field = SampledField(GridSpec(1, 8, TWO_PI), source)
+        source[0] = 99.0
+        assert field.samples.tolist() == list(range(8))
+        with pytest.raises(ValueError):
+            field.samples[0] = 1.0
+        with pytest.raises(ValueError):
+            field.as_array()[0] = 1.0
+
 
 class TestCutoffProfile:
     def test_plateau_and_support(self):
