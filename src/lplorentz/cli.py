@@ -25,6 +25,7 @@ import io
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .inequalities import GENERATORS, derive_params, run_suite
@@ -38,7 +39,7 @@ from .norms import (
     lorentz_norm,
     triebel_seminorm,
 )
-from .sharpness import build_atom, build_params, default_level_grid, growth_experiment
+from .sharpness import Atom, build_atom, build_params, default_level_grid, growth_experiment
 from .spectral import decompose, load_field, lowest_scale_for_dc_only, make_cutoff_profile
 
 __all__ = ["main", "emit_report"]
@@ -178,11 +179,18 @@ def _cmd_interp(args: argparse.Namespace) -> int:
     return _emit_suite(args, records)
 
 
+@lru_cache(maxsize=8)
+def _atom(moments: int) -> Atom:
+    """The sweep atom of ``moments`` vanishing moments, built once per process
+    (``build_atom`` itself returns a fresh atom per call)."""
+    return build_atom(moments)
+
+
 def _cmd_sharpness(args: argparse.Namespace) -> int:
     params = build_params(
         args.n, args.alpha, args.beta, args.q0, args.q1, args.r0, args.r1, r=args.r
     )
-    atom = build_atom(args.moments)
+    atom = _atom(args.moments)
     levels = default_level_grid(args.Lmin, args.Lmax)
     result = growth_experiment(params, atom, levels)
     header = _config_echo(args)
@@ -210,7 +218,10 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` returns a
+    fresh namespace per call and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="lplorentz",
         description="Dyadic-decomposition norms, interpolation checks, and inequality suites.",

@@ -649,6 +649,8 @@ def _duality_instance(p, r, q0, q1, theta) -> _Instance:
 
 
 def _partition_instance(p, r, q0, q1, theta) -> _Instance:
+    r = _check_exponent("r", r)
+
     def instance(rng):
         size = int(rng.integers(5, 120))
         result = ell_partition(rng.lognormal(0.0, 1.5, size), q0, q1, r)
@@ -658,6 +660,7 @@ def _partition_instance(p, r, q0, q1, theta) -> _Instance:
 
 
 def _reiteration_suite_instance(p, r, q0, q1, theta) -> _Instance:
+    q0, q1 = _check_exponent("q0", q0), _check_exponent("q1", q1)
     r0 = 1.0 if q0 == 1.0 else r
     r1 = _INF if q1 == _INF else r
     return _reiteration_instance(q0, r0, q1, r1, theta, r)[1]

@@ -242,6 +242,8 @@ class TestInterpCommand:
         [
             (["--check", "k-equivalence", "--p", "1"], "p must lie in (1, inf), got 1.0"),
             (["--check", "duality", "--r", "0.5"], "r must lie in [1, inf], got 0.5"),
+            (["--check", "reiteration", "--q0", "0.5"], "q0 must lie in [1, inf], got 0.5"),
+            (["--check", "partition", "--r", "0.5"], "r must lie in [1, inf], got 0.5"),
         ],
     )
     def test_bad_exponent_names_its_flag(self, flags, message, capsys):
@@ -321,7 +323,7 @@ class TestSharpnessCommand:
         assert code == 2
         assert "error:" in captured.err
 
-    @pytest.mark.parametrize("flag", ["--r0", "--q0", "--r"])
+    @pytest.mark.parametrize("flag", ["--r0", "--q0", "--q1", "--r"])
     def test_bad_exponent_names_its_flag(self, flag, capsys):
         args = list(self.CANONICAL)
         if flag in args:

@@ -119,6 +119,22 @@ def test_report_matches_golden(name):
     _assert_same_report(name, _run(REPORTS[name]), (GOLDEN / f"{name}.txt").read_text())
 
 
+def test_commands_share_one_process(capsys):
+    # The parser and the sweep atom are built once per process: interleaved
+    # commands still match their golden reports, a flag left out of a later
+    # call takes its default again, and a bad flag still exits 2.
+    for name in ("sharpness-composed", "verify-atomic-readme", "interp-duality", "sharpness-composed",
+                 "interp-layer-cake", "verify-single-block-readme-json", "sharpness-composed"):
+        _assert_same_report(name, _run(REPORTS[name]), (GOLDEN / f"{name}.txt").read_text())
+    explicit = _run([*REPORTS["sharpness-composed"], "--r", "2"])
+    assert '"r": 2.0' in explicit.splitlines()[0]
+    default = _run(REPORTS["sharpness-composed"])
+    assert '"r": null' in default.splitlines()[0]
+    assert main([*REPORTS["sharpness-composed"], "--q1", "0.5"]) == 2
+    assert main(["verify", "--no-such-flag"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_norm_values_match_golden(tmp_path):
     field = _write_cosine_field(tmp_path)
     for name, flags in NORMS.items():

@@ -563,6 +563,35 @@ class TestGrowthExperiment:
             for level in levels
         ]
 
+    @pytest.mark.parametrize(
+        "params, levels",
+        [
+            (canonical_params(), [8, 12, 16, 16, 24, 32, 48, 64]),
+            (canonical_params(r0=4.0, r1=4.0, r=2.0), [8, 12, 16, 16, 24, 32, 48, 64]),
+            (build_params(1, 0.5, 0.5, 1.0, INF, 2.0, 2.0), [8, 12, 16, 16, 24, 32, 48, 64]),
+            # r != p converges too slowly below L = 128 to pass the slope checks
+            (canonical_params(r0=4.0, r1=4.0), [128, 192, 256, 256, 384, 512, 768, 1024]),
+        ],
+        ids=["composed", "violating", "half", "r4-r4"],
+    )
+    def test_one_pass_sweep_equals_per_level_reference(self, params, levels):
+        # The sweep reads every level off the top family; each level's own
+        # family and one polyfit per quantity give the same bits, also for a
+        # level listed twice.
+        atom = build_atom(2)
+        result = growth_experiment(params, atom, levels)
+        assert [record["L"] for record in result.records] == levels
+        for level, record in zip(levels, result.records):
+            f_sum, g_sum = build_closed_form_family(params, atom, level)
+            assert record["besov0"] == atomic_besov_upper(f_sum, BesovParams(params.alpha, params.q0, params.r0))
+            assert record["besov1"] == atomic_besov_upper(f_sum, BesovParams(-params.beta, params.q1, params.r1))
+            assert record["pairing"] == pairing(f_sum, g_sum)
+        log_levels = np.log2(np.asarray(levels, dtype=float))
+        assert result.slopes == {
+            key: float(np.polyfit(log_levels, np.log2([record[key] for record in result.records]), 1)[0])
+            for key in ("besov0", "besov1", "pairing", "lorentz_lower", "rhs_product", "ratio")
+        }
+
     def test_mass_underflow_is_an_arithmetic_error(self):
         # r = 4 != p = 2 merges the distribution, whose masses c_j * 2**(-j)
         # with c_j = 2**(j/2) need 2**(-j), which is 0.0 from j = 1075 on.
