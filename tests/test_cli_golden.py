@@ -55,7 +55,10 @@ REPORTS = {
         for gen in ("atomic", "single-block")
     },
     **{f"interp-{check}": ["interp", "--check", check, "--suite-size", "40"] for check in _CHECKS},
-    "interp-duality-json": ["interp", "--check", "duality", "--format", "json", "--suite-size", "40"],
+    **{
+        f"interp-{check}-json": ["interp", "--check", check, "--format", "json", "--suite-size", "40"]
+        for check in ("duality", "partition", "reiteration")
+    },
     "sharpness-composed": ["sharpness", *_README_CASE, "--r0", "2", "--r1", "2", "--Lmax", "128"],
     "sharpness-merge": [
         "sharpness", *_README_CASE, "--r0", "4", "--r1", "4", "--Lmin", "128", "--Lmax", "1024",
