@@ -39,7 +39,6 @@ from .interpolation import (
     InterpParams,
     JDecomposition,
     PartitionResult,
-    ReiterationResult,
     duality_pairing_check,
     ell_partition,
     ell_partition_constant,

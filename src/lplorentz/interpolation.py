@@ -6,6 +6,9 @@ derived constant, see :func:`j_bound_constant`), a disjoint-support
 layer-cake decomposition realizing that bound, a duality pairing check, a
 rank-threshold partition of sequences, and an empirical reiteration check.
 
+The layer cake and the partition share one rank-block kernel and hold their
+blocks as ``(K,)`` and ``(K, n)`` arrays; every check suite returns records.
+
 All integrals over step profiles are closed-form except the middle pieces of
 :func:`interpolation_norm_K`, which are analytic in the integration variable
 and handled by fixed-order Gauss-Legendre panels on dyadic subintervals; the
@@ -16,13 +19,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .norms import (
     LorentzParams,
     MeasuredValues,
+    RearrangementProfile,
     _as_lorentz_params,
     _check_exponent,
     _compose,
@@ -38,7 +42,6 @@ __all__ = [
     "InterpParams",
     "JDecomposition",
     "PartitionResult",
-    "ReiterationResult",
     "k_functional_L1_Linf",
     "interpolation_norm_K",
     "j_sum_functional",
@@ -297,6 +300,23 @@ def _threshold_index(d: np.ndarray, base: float = 2.0) -> np.ndarray:
     return k
 
 
+def _threshold_blocks(values: np.ndarray, prof: RearrangementProfile,
+                      base: float) -> tuple[np.ndarray, np.ndarray]:
+    """Increasing block indices ``ks`` (K,) and the ``(K, n)`` membership mask
+    of the entries ``values``, whose rearrangement is ``prof``: an entry whose
+    value has superlevel mass ``d`` joins block ``k`` with
+    ``base**k < d <= base**(k+1)``, zeros join the last block, and an input
+    without positive values has no blocks."""
+    if prof.values.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty((0, values.size), dtype=bool)
+    step_k = _threshold_index(prof.cum_masses, base)
+    # positive values match their step exactly; zeros sort past the last step
+    step = np.searchsorted(-prof.values, -values)
+    entry_k = step_k[np.minimum(step, step_k.size - 1)]
+    ks = np.unique(entry_k)
+    return ks, entry_k == ks[:, None]
+
+
 def layer_cake_decompose(v: MeasuredValues) -> JDecomposition:
     """Split ``v`` into disjointly supported pieces at dyadic mass thresholds.
 
@@ -311,20 +331,15 @@ def layer_cake_decompose(v: MeasuredValues) -> JDecomposition:
     their support), in increasing scale order, so they recombine entrywise
     to ``v`` exactly.  A ``v`` without positive values has no pieces.
     """
-    values, masses = v.values, v.masses
-    prof = rearrangement(v)
-    if prof.values.size == 0:
-        return JDecomposition(np.empty(0, dtype=np.int64), np.empty((0, values.size)), masses,
-                              np.empty(0), np.empty(0))
-    group_k = _threshold_index(prof.cum_masses)
-    # map each positive entry to its value group (exact match by construction)
-    pos = values > 0
-    entry_k = group_k[np.searchsorted(-prof.values, -values[pos])]
-    ks = np.unique(entry_k)
-    mask = np.zeros((ks.size, values.size), dtype=bool)
-    mask[:, pos] = entry_k == ks[:, None]
-    pieces = np.where(mask, values, 0.0)
-    return JDecomposition(ks, pieces, masses, np.sum(pieces * masses, axis=1), pieces.max(axis=1))
+    return _layer_cake(v, rearrangement(v))
+
+
+def _layer_cake(v: MeasuredValues, prof: RearrangementProfile) -> JDecomposition:
+    """:func:`layer_cake_decompose` of ``v``, whose rearrangement is ``prof``."""
+    ks, mask = _threshold_blocks(v.values, prof, 2.0)
+    pieces = np.where(mask, v.values, 0.0)
+    return JDecomposition(ks, pieces, v.masses, np.sum(pieces * v.masses, axis=1),
+                          pieces.max(axis=1, initial=0.0))
 
 
 def layer_cake_constant(p: float, r: float) -> float:
@@ -344,8 +359,9 @@ def layer_cake_constant(p: float, r: float) -> float:
 def _layer_cake_sides(v: MeasuredValues, params: LorentzParams) -> tuple[float, float]:
     """``(P + Q, C0 * lorentz_norm(v, params))`` for the layer-cake decomposition of ``v``."""
     interp = InterpParams(1.0 - 1.0 / params.p, params.r, 2.0)
-    p_sum, q_sum = j_sum_functional(layer_cake_decompose(v), interp)
-    return p_sum + q_sum, layer_cake_constant(params.p, params.r) * lorentz_norm(v, params)
+    prof = rearrangement(v)
+    p_sum, q_sum = j_sum_functional(_layer_cake(v, prof), interp)
+    return p_sum + q_sum, layer_cake_constant(params.p, params.r) * lorentz_norm(prof, params)
 
 
 def layer_cake_bound_ratio(v: MeasuredValues, params) -> float:
@@ -394,17 +410,20 @@ def _duality_sides(f: MeasuredValues, g: MeasuredValues, params: LorentzParams) 
 class PartitionResult:
     """Partition of sequence indices into rank blocks with weighted block sums.
 
-    ``blocks[k]`` holds the original indices whose superlevel rank lies in
-    ``(2**(sigma*k), 2**(sigma*(k+1))]``; ``beta[k]`` and ``gamma[k]`` are the
-    weighted block q0- and q1-sums; ``lhs`` is the sum of their l^{r0} norms,
-    bounded by ``bound = C * ||lambda||_{l^{r0}}``.
+    ``scales`` (K,) holds the increasing block indices.  Row ``i`` of the
+    ``(K, n)`` bool mask ``blocks`` marks the indices whose superlevel rank
+    lies in ``(2**(sigma*k), 2**(sigma*(k+1))]`` for ``k = scales[i]``;
+    ``beta[i]`` and ``gamma[i]`` are that block's weighted q0- and q1-sums.
+    ``lhs`` is the sum of their l^{r0} norms, bounded by
+    ``bound = C * ||lambda||_{l^{r0}}``.
     """
 
-    blocks: dict[int, np.ndarray]
+    scales: np.ndarray
+    blocks: np.ndarray
     eta: float
     sigma: float
-    beta: dict[int, float]
-    gamma: dict[int, float]
+    beta: np.ndarray
+    gamma: np.ndarray
     lhs: float
     bound: float
     ratio: float
@@ -418,23 +437,26 @@ def ell_partition_constant(q0: float, q1: float, r0: float) -> float:
     powers against the decreasing rearrangement compares the geometric sample
     sum with the integral, giving the ``(1 - 2**(-sigma))**(-1/r0)`` factor.
     """
-    _validate_partition_exponents(q0, q1, r0)
-    sigma = 1.0 / (_inv(q0) - _inv(q1))
+    return _partition_constant(*_partition_exponents(q0, q1, r0, "r0"))
+
+
+def _partition_constant(q0: float, q1: float, r0: float, sigma: float) -> float:
     return (2.0 ** (sigma / q0) + (1.0 if q1 == _INF else 2.0 ** (sigma / q1))) * (
         1.0 - 2.0 ** (-sigma)
     ) ** (-1.0 / r0)
 
 
-def _validate_partition_exponents(q0: float, q1: float, r0: float) -> None:
-    q0, q1, r0 = float(q0), float(q1), float(r0)
-    if not (math.isfinite(q0) and q0 >= 1.0):
-        raise ValueError(f"q0 must be finite and >= 1, got {q0!r}")
-    if q1 != _INF and not (math.isfinite(q1) and q1 >= 1.0):
-        raise ValueError(f"q1 must lie in [1, inf], got {q1!r}")
-    if not (math.isfinite(r0) and q0 < r0 and (q1 == _INF or r0 < q1)):
+def _partition_exponents(q0: float, q1: float, r: float, r_name: str) -> tuple[float, float, float, float]:
+    """``(q0, q1, r, sigma)`` as floats with ``q0 < r < q1`` and
+    ``sigma = 1/(1/q0 - 1/q1)``; a ``ValueError`` names the middle exponent
+    ``r_name``."""
+    r = _check_exponent(r_name, r)
+    q0, q1 = _check_exponent("q0", q0), _check_exponent("q1", q1)
+    if not q0 < r < q1:
         raise ValueError(
-            f"need q0 < r0 < q1 for a proper interpolation position, got {(q0, r0, q1)!r}"
+            f"need q0 < {r_name} < q1 for a proper interpolation position, got {(q0, r, q1)!r}"
         )
+    return q0, q1, r, 1.0 / (_inv(q0) - _inv(q1))
 
 
 def ell_partition(lam, q0: float, q1: float, r0: float) -> PartitionResult:
@@ -444,65 +466,32 @@ def ell_partition(lam, q0: float, q1: float, r0: float) -> PartitionResult:
     ``l^{r0}`` at position ``eta`` between ``l^{q0}`` and ``l^{q1}``.  An entry
     whose superlevel rank (count of entries at least as large) is ``d`` joins
     block ``k`` with ``2**(sigma*k) < d <= 2**(sigma*(k+1))``; zero entries
-    join the last block, where they contribute nothing.  The weighted block
+    join the last block, where they contribute nothing, and a sequence of
+    zeros has no blocks (``lhs = bound = ratio = 0``).  The weighted block
     sums satisfy ``||beta||_{l^{r0}} + ||gamma||_{l^{r0}} <= C * ||lambda||_{l^{r0}}``
     with ``C`` from :func:`ell_partition_constant`.
     """
-    _validate_partition_exponents(q0, q1, r0)
-    lam_arr = np.abs(np.asarray(lam, dtype=float).ravel())
-    if lam_arr.size == 0:
+    q0, q1, r0, sigma = _partition_exponents(q0, q1, r0, "r0")
+    mv = MeasuredValues.from_sequence(lam)
+    if mv.values.size == 0:
         raise ValueError("empty sequence")
-    q0, q1, r0 = float(q0), float(q1), float(r0)
-    sigma = 1.0 / (_inv(q0) - _inv(q1))
     eta = (_inv(q0) - _inv(r0)) * sigma
-    base = 2.0**sigma
-
-    mv = MeasuredValues.from_sequence(lam_arr)
-    prof = rearrangement(mv)
-    pos = lam_arr > 0
-    entry_k = np.empty(lam_arr.shape, dtype=np.int64)
-    if prof.values.size:
-        group_k = _threshold_index(prof.cum_masses, base)
-        entry_k[pos] = group_k[np.searchsorted(-prof.values, -lam_arr[pos])]
-        last_k = int(group_k.max())
-    else:
-        last_k = 0
-    entry_k[~pos] = last_k
-
-    ks = np.unique(entry_k)
-    mask = entry_k == ks[:, None]
-    block_vals = np.where(mask, lam_arr, 0.0)
+    ks, blocks = _threshold_blocks(mv.values, rearrangement(mv), 2.0**sigma)
+    block_vals = np.where(blocks, mv.values, 0.0)
     beta = 2.0 ** (-ks * eta) * np.sum(block_vals**q0, axis=1) ** (1.0 / q0)
     if q1 == _INF:
         gamma = 2.0 ** (ks * (1.0 - eta)) * block_vals.max(axis=1)
     else:
         gamma = 2.0 ** (ks * (1.0 - eta)) * np.sum(block_vals**q1, axis=1) ** (1.0 / q1)
     lhs = float(np.sum(beta**r0) ** (1.0 / r0) + np.sum(gamma**r0) ** (1.0 / r0))
-    bound = ell_partition_constant(q0, q1, r0) * lebesgue_norm(mv, r0)
+    bound = _partition_constant(q0, q1, r0, sigma) * lebesgue_norm(mv, r0)
     ratio = 0.0 if bound == 0.0 else lhs / bound
-    keys = ks.tolist()
-    blocks = {k: np.flatnonzero(row) for k, row in zip(keys, mask)}
-    return PartitionResult(
-        blocks, eta, sigma, dict(zip(keys, beta.tolist())), dict(zip(keys, gamma.tolist())),
-        lhs, bound, ratio,
-    )
+    return PartitionResult(ks, blocks, eta, sigma, beta, gamma, lhs, bound, ratio)
 
 
 # ---------------------------------------------------------------------------
 # Reiteration between Lorentz endpoints
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ReiterationResult:
-    """Suite outcome for one reiteration configuration: per-instance records
-    ``{instance_id, lhs, rhs, ratio}`` and the observed ratio interval."""
-
-    target_p: float
-    target_r: float
-    records: list[dict] = field(repr=False)
-    min_ratio: float = 0.0
-    max_ratio: float = 0.0
 
 
 def _endpoint_norm(v: MeasuredValues, p: float, r: float) -> float:
@@ -526,7 +515,7 @@ def reiteration_check(
     r: float,
     suite_size: int,
     seed: int = 0,
-) -> ReiterationResult:
+) -> list[dict]:
     """Compare the decomposition bound between Lorentz endpoints with the
     direct Lorentz norm at the composed parameters.
 
@@ -538,20 +527,18 @@ def reiteration_check(
     endpoint norms in ``L^{p0,r0}`` and ``L^{p1,r1}`` and grid base
     ``rho = 2**(1/p0 - 1/p1)`` (base 2 in the equal-p case); the rhs is
     ``lorentz_norm`` at the target parameters.  Returns the per-instance
-    records and the observed ratio interval, which must stay within fixed
-    positive bounds for the reiteration identity to hold numerically.
+    records ``{instance_id, lhs, rhs, ratio}`` of :func:`run_interp_suite`;
+    the ratios must stay within fixed positive bounds for the reiteration
+    identity to hold numerically.
     """
-    target_p, instance = _reiteration_instance(p0, r0, p1, r1, theta, r)
-    records = _suite_records(instance, suite_size, seed)
-    ratios = [rec["ratio"] for rec in records]
-    return ReiterationResult(target_p, float(r), records, min(ratios), max(ratios))
+    return _suite_records(_reiteration_instance(p0, r0, p1, r1, theta, r), suite_size, seed)
 
 
 def _reiteration_instance(
     p0: float, r0: float, p1: float, r1: float, theta: float, r: float
-) -> tuple[float, _Instance]:
-    """Validated target exponent and per-instance ``(lhs, rhs)`` function of
-    :func:`reiteration_check`."""
+) -> _Instance:
+    """Per-instance ``(lhs, rhs)`` function of :func:`reiteration_check`,
+    built after the exponents are validated."""
     theta = float(theta)
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
@@ -579,17 +566,18 @@ def _reiteration_instance(
 
     def instance(rng: np.random.Generator) -> tuple[float, float]:
         v = MeasuredValues.from_sequence(_random_sequence(rng))
-        candidates = [trivial_decomposition(v, norm0, norm1)]
+        prof = rearrangement(v)
         # lognormal values are positive, so the layer cake has pieces
-        cake = layer_cake_decompose(v)
+        cake = _layer_cake(v, prof)
         pieces = [MeasuredValues(row, v.masses) for row in cake.pieces]
-        candidates.append(
-            JDecomposition(cake.scales, cake.pieces, cake.masses,
-                           np.array([norm0(u) for u in pieces]), np.array([norm1(u) for u in pieces]))
+        candidates = (
+            trivial_decomposition(v, norm0, norm1),
+            replace(cake, norms0=np.array([norm0(u) for u in pieces]),
+                    norms1=np.array([norm1(u) for u in pieces])),
         )
-        return min(j_bound(d, params) for d in candidates), lorentz_norm(v, target)
+        return min(j_bound(d, params) for d in candidates), lorentz_norm(prof, target)
 
-    return target_p, instance
+    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +637,7 @@ def _duality_instance(p, r, q0, q1, theta) -> _Instance:
 
 
 def _partition_instance(p, r, q0, q1, theta) -> _Instance:
-    r = _check_exponent("r", r)
+    q0, q1, r, _ = _partition_exponents(q0, q1, r, "r")
 
     def instance(rng):
         size = int(rng.integers(5, 120))
@@ -663,7 +651,7 @@ def _reiteration_suite_instance(p, r, q0, q1, theta) -> _Instance:
     q0, q1 = _check_exponent("q0", q0), _check_exponent("q1", q1)
     r0 = 1.0 if q0 == 1.0 else r
     r1 = _INF if q1 == _INF else r
-    return _reiteration_instance(q0, r0, q1, r1, theta, r)[1]
+    return _reiteration_instance(q0, r0, q1, r1, theta, r)
 
 
 # check name -> builder of its per-instance function, called once per suite

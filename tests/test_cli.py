@@ -244,6 +244,12 @@ class TestInterpCommand:
             (["--check", "duality", "--r", "0.5"], "r must lie in [1, inf], got 0.5"),
             (["--check", "reiteration", "--q0", "0.5"], "q0 must lie in [1, inf], got 0.5"),
             (["--check", "partition", "--r", "0.5"], "r must lie in [1, inf], got 0.5"),
+            (["--check", "partition", "--r", "1"],
+             "need q0 < r < q1 for a proper interpolation position, got (1.0, 1.0, inf)"),
+            (["--check", "partition", "--q0", "3"],
+             "need q0 < r < q1 for a proper interpolation position, got (3.0, 2.0, inf)"),
+            (["--check", "partition", "--q1", "1"],
+             "need q0 < r < q1 for a proper interpolation position, got (1.0, 2.0, 1.0)"),
         ],
     )
     def test_bad_exponent_names_its_flag(self, flags, message, capsys):

@@ -27,6 +27,7 @@ from lplorentz.interpolation import (
     run_interp_suite,
     trivial_decomposition,
 )
+from lplorentz import interpolation, norms
 from lplorentz.interpolation import _GL_NODES, _GL_WEIGHTS, _threshold_index
 from lplorentz.norms import (
     LorentzParams,
@@ -91,6 +92,35 @@ def layer_cake_per_piece_reference(v: MeasuredValues):
         norms0.append(float(np.sum(piece_values * v.masses)))
         norms1.append(float(piece_values.max()))
     return scales, pieces, norms0, norms1
+
+
+def partition_per_entry_reference(lam: np.ndarray, q0: float, q1: float, r0: float):
+    """Rank blocks of ``lam`` routed one entry at a time, as dicts keyed by
+    block index: ``(blocks, beta, gamma)`` with the sorted indices of each
+    block and its weighted q0- and q1-sums."""
+    lam = np.abs(lam)
+    inv_q1 = 0.0 if q1 == INF else 1.0 / q1
+    sigma = 1.0 / (1.0 / q0 - inv_q1)
+    eta = (1.0 / q0 - 1.0 / r0) * sigma
+    ranks = [int(np.sum(lam >= y)) for y in lam.tolist()]
+    entry_k = [threshold_index_reference(d, 2.0**sigma) if y > 0 else None
+               for y, d in zip(lam.tolist(), ranks)]
+    positive = [k for k in entry_k if k is not None]
+    if not positive:
+        return {}, {}, {}
+    entry_k = np.array([max(positive) if k is None else k for k in entry_k])
+    blocks, beta, gamma = {}, {}, {}
+    for k in sorted(set(entry_k.tolist())):
+        idx = np.flatnonzero(entry_k == k)
+        vals = lam[idx]
+        blocks[k] = idx
+        beta[k] = 2.0 ** (-k * eta) * float(np.sum(vals**q0)) ** (1.0 / q0)
+        top = float(vals.max()) if q1 == INF else float(np.sum(vals**q1)) ** (1.0 / q1)
+        gamma[k] = 2.0 ** (k * (1.0 - eta)) * top
+    return blocks, beta, gamma
+
+
+PARTITION_EXPONENTS = ((1.0, INF, 2.0), (1.5, 6.0, 3.0), (1.0, 4.0, 2.0))
 
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -306,6 +336,12 @@ class TestLayerCake:
         assert np.array_equal(dec.pieces, [[4.0, 0.0], [0.0, 1.0]])
         assert dec.norms0.tolist() == [4.0, 8.0] and dec.norms1.tolist() == [4.0, 1.0]
 
+    def test_no_positive_value_gives_no_pieces(self):
+        for n in (0, 3):
+            dec = layer_cake_decompose(MeasuredValues(np.zeros(n), np.ones(n)))
+            assert dec.scales.shape == dec.norms0.shape == dec.norms1.shape == (0,)
+            assert dec.pieces.shape == (0, n)
+
     def test_indicator_single_piece(self):
         ind = MeasuredValues(np.array([2.0]), np.array([1.0]))
         dec = layer_cake_decompose(ind)
@@ -381,14 +417,15 @@ class TestRankPartition:
     def test_single_entry_hand_computation(self):
         res = ell_partition(np.array([1.0]), 1.0, INF, 2.0)
         assert res.sigma == 1.0 and res.eta == 0.5
-        assert sorted(res.blocks) == [-1]
-        assert np.array_equal(res.blocks[-1], [0])
+        assert res.scales.tolist() == [-1]
+        assert res.blocks.tolist() == [[True]]
+        assert res.beta.tolist() == [2.0**0.5] and res.gamma.tolist() == [2.0**-0.5]
         assert res.lhs == pytest.approx(2.0**0.5 + 2.0**-0.5, rel=1e-12)
         assert res.bound == pytest.approx(ell_partition_constant(1.0, INF, 2.0), rel=1e-12)
         assert res.ratio == pytest.approx(res.lhs / res.bound, rel=1e-12)
 
     def test_exponent_identities(self):
-        for (q0, q1, r0) in ((1.0, INF, 2.0), (1.5, 6.0, 3.0), (1.0, 4.0, 2.0)):
+        for (q0, q1, r0) in PARTITION_EXPONENTS:
             res = ell_partition(np.ones(5), q0, q1, r0)
             inv_q1 = 0.0 if q1 == INF else 1.0 / q1
             assert res.sigma == pytest.approx(1.0 / (1.0 / q0 - inv_q1), rel=1e-12)
@@ -400,14 +437,14 @@ class TestRankPartition:
     def test_geometric_sequence_block_structure(self):
         lam = np.array([2.0 ** (-abs(j)) for j in range(-20, 21)])
         res = ell_partition(lam, 1.0, INF, 2.0)
-        sizes = {k: len(idx) for k, idx in res.blocks.items()}
-        assert sizes == {-1: 1, 1: 2, 2: 4, 3: 8, 4: 16, 5: 10}
-        assert np.array_equal(np.sort(res.blocks[-1]), [20])
-        assert np.array_equal(np.sort(res.blocks[1]), [19, 21])
-        assert np.array_equal(np.sort(res.blocks[2]), [17, 18, 22, 23])
+        assert res.blocks.shape == (6, 41)
+        assert res.scales.tolist() == [-1, 1, 2, 3, 4, 5]
+        assert res.blocks.sum(axis=1).tolist() == [1, 2, 4, 8, 16, 10]
+        assert np.flatnonzero(res.blocks[0]).tolist() == [20]
+        assert np.flatnonzero(res.blocks[1]).tolist() == [19, 21]
+        assert np.flatnonzero(res.blocks[2]).tolist() == [17, 18, 22, 23]
         # every index lands in exactly one block
-        all_idx = np.sort(np.concatenate(list(res.blocks.values())))
-        assert np.array_equal(all_idx, np.arange(41))
+        assert res.blocks.sum(axis=0).tolist() == [1] * 41
 
     def test_bound_holds_on_randoms(self):
         rng = np.random.default_rng(3)
@@ -424,8 +461,32 @@ class TestRankPartition:
         with_zeros = res.lhs
         res2 = ell_partition(np.array([4.0, 1.0]), 1.0, INF, 2.0)
         assert with_zeros == pytest.approx(res2.lhs, rel=1e-12)
-        largest = max(res.blocks)
-        assert {1, 3} <= set(res.blocks[largest].tolist())
+        assert res.scales.tolist() == sorted(res.scales.tolist())
+        assert np.flatnonzero(res.blocks[-1]).tolist() == [1, 2, 3]
+        assert res.blocks.sum(axis=0).tolist() == [1, 1, 1, 1]
+
+    def test_all_zero_sequence_has_no_blocks(self):
+        for (q0, q1, r0) in PARTITION_EXPONENTS:
+            res = ell_partition(np.zeros(4), q0, q1, r0)
+            assert res.scales.shape == (0,) and res.blocks.shape == (0, 4)
+            assert res.beta.shape == res.gamma.shape == (0,)
+            assert res.lhs == res.bound == res.ratio == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0, 7.5, 1e-3, 40.0]), min_size=1, max_size=60),
+        st.sampled_from(PARTITION_EXPONENTS),
+    )
+    def test_blocks_and_sums_match_per_entry_reference(self, lam, exponents):
+        lam = np.array(lam)
+        res = ell_partition(lam, *exponents)
+        blocks, beta, gamma = partition_per_entry_reference(lam, *exponents)
+        assert res.scales.tolist() == list(blocks)
+        assert res.blocks.shape == (len(blocks), lam.size) and res.blocks.dtype == bool
+        for k, row, b, g in zip(res.scales.tolist(), res.blocks, res.beta.tolist(), res.gamma.tolist()):
+            assert np.array_equal(np.flatnonzero(row), blocks[k])
+            assert b == pytest.approx(beta[k], rel=1e-14, abs=0.0)
+            assert g == pytest.approx(gamma[k], rel=1e-14, abs=0.0)
 
     def test_exponent_ordering_is_validated(self):
         with pytest.raises(ValueError):
@@ -438,23 +499,36 @@ class TestRankPartition:
             ell_partition(np.empty(0), 1.0, INF, 2.0)
 
 
+def reiteration_rhs_reference(target: LorentzParams, suite_size: int, seed: int) -> list[float]:
+    """Target Lorentz norms of the sequences a reiteration suite draws."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return [
+        lorentz_norm(MeasuredValues.from_sequence(rng.lognormal(0.0, 1.5, int(rng.integers(3, 60)))), target)
+        for _ in range(suite_size)
+    ]
+
+
 class TestReiteration:
     def test_canonical_case_frozen_ratio_range(self):
-        res = reiteration_check(1.0, 1.0, INF, INF, 0.5, 2.0, suite_size=60, seed=0)
-        assert res.target_p == pytest.approx(2.0, rel=1e-15)
-        assert res.target_r == 2.0
-        assert res.min_ratio == pytest.approx(6.768739281904188, rel=1e-6)
-        assert res.max_ratio == pytest.approx(7.55799183027552, rel=1e-6)
+        records = reiteration_check(1.0, 1.0, INF, INF, 0.5, 2.0, suite_size=60, seed=0)
+        assert [rec["instance_id"] for rec in records] == list(range(60))
+        # the rhs is the Lorentz norm at the composed target (p, r) = (2, 2)
+        assert [rec["rhs"] for rec in records] == reiteration_rhs_reference(LorentzParams(2.0, 2.0), 60, 0)
+        ratios = [rec["ratio"] for rec in records]
+        assert min(ratios) == pytest.approx(6.768739281904188, rel=1e-6)
+        assert max(ratios) == pytest.approx(7.55799183027552, rel=1e-6)
         # the bound dominates the norm on every instance
-        assert res.min_ratio >= 1.0
+        assert min(ratios) >= 1.0
 
     def test_bounds_dominate_for_other_positions(self):
-        res = reiteration_check(1.0, 1.0, INF, INF, 0.25, 3.0, suite_size=30, seed=1)
-        assert res.target_p == pytest.approx(4.0 / 3.0, rel=1e-12)
-        assert res.min_ratio >= 1.0
-        res2 = reiteration_check(2.0, 1.0, 2.0, INF, 0.5, 2.0, suite_size=30, seed=2)
-        assert res2.target_p == 2.0
-        assert res2.min_ratio >= 1.0
+        for (p0, r0, p1, r1, theta, r, seed, target_p) in (
+            (1.0, 1.0, INF, INF, 0.25, 3.0, 1, 4.0 / 3.0),
+            (2.0, 1.0, 2.0, INF, 0.5, 2.0, 2, 2.0),
+        ):
+            records = reiteration_check(p0, r0, p1, r1, theta, r, suite_size=30, seed=seed)
+            rhs = reiteration_rhs_reference(LorentzParams(target_p, r), 30, seed)
+            assert [rec["rhs"] for rec in records] == pytest.approx(rhs, rel=1e-12)
+            assert min(rec["ratio"] for rec in records) >= 1.0
 
     def test_equal_p_requires_consistent_secondary_exponent(self):
         with pytest.raises(ValueError):
@@ -574,4 +648,29 @@ class TestInterpSuiteRunner:
     def test_reiteration_records_equal_reiteration_check(self):
         records = run_interp_suite("reiteration", q0=1.0, q1=INF, r=3.0, theta=0.3, suite_size=7, seed=2)
         direct = reiteration_check(1.0, 1.0, INF, INF, 0.3, 3.0, suite_size=7, seed=2)
-        assert records == direct.records
+        assert records == direct
+
+    @pytest.mark.parametrize(
+        "check, inputs",
+        [("k-equivalence", 1), ("layer-cake", 1), ("duality", 2), ("partition", 1), ("reiteration", 1)],
+    )
+    def test_one_sort_per_input(self, check, inputs, monkeypatch):
+        sorts = []
+        profile_from_sorted = norms._profile_from_sorted
+
+        def counted(values, masses):
+            sorts.append(values.size)
+            return profile_from_sorted(values, masses)
+
+        monkeypatch.setattr(norms, "_profile_from_sorted", counted)
+        run_interp_suite(check, suite_size=200, seed=3)
+        assert len(sorts) == 200 * inputs
+
+    def test_partition_order_error_names_r_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("the suite drew an instance")
+
+        monkeypatch.setattr(interpolation, "_suite_records", no_draws)
+        for flags in ({"r": 1.0}, {"q0": 3.0}, {"q1": 1.0}):
+            with pytest.raises(ValueError, match=r"^need q0 < r < q1 "):
+                run_interp_suite("partition", suite_size=5, seed=0, **flags)
