@@ -40,7 +40,7 @@ from .norms import (
     triebel_seminorm,
 )
 from .sharpness import Atom, build_atom, build_params, default_level_grid, growth_experiment
-from .spectral import decompose, load_field, lowest_scale_for_dc_only, make_cutoff_profile
+from .spectral import _is_power_of_two, decompose, load_field, lowest_scale_for_dc_only, make_cutoff_profile
 
 __all__ = ["main", "emit_report"]
 
@@ -162,10 +162,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.r1,
         r=None if args.auto_r_star else args.r,
     )
+    if not (_is_power_of_two(args.grid) and args.grid >= 8):
+        raise ValueError(f"--grid must be a power of two >= 8, got {args.grid}")
     return _emit_suite(args, run_suite(case, args.generator, args.count, args.seed, grid_points=args.grid))
 
 
 def _cmd_interp(args: argparse.Namespace) -> int:
+    if not 0.0 < args.theta < 1.0:
+        raise ValueError(f"--theta must lie in (0, 1), got {args.theta!r}")
     records = run_interp_suite(
         args.check,
         p=args.p,
@@ -190,6 +194,8 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
     params = build_params(
         args.n, args.alpha, args.beta, args.q0, args.q1, args.r0, args.r1, r=args.r
     )
+    if not 1 <= args.Lmin < args.Lmax:
+        raise ValueError(f"need 1 <= --Lmin < --Lmax, got {args.Lmin} and {args.Lmax}")
     atom = _atom(args.moments)
     levels = default_level_grid(args.Lmin, args.Lmax)
     result = growth_experiment(params, atom, levels)

@@ -7,10 +7,15 @@ exit codes, report bytes, and error channels are all observable.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lplorentz
 from lplorentz.cli import emit_report, main
 from lplorentz.norms import LorentzParams, MeasuredValues, lorentz_norm
 from lplorentz.spectral import GridSpec, SampledField, save_field
@@ -202,6 +207,34 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == "error: count must be >= 1\n"
 
+    @pytest.mark.parametrize("grid", ["1000", "4", "0"])
+    def test_bad_grid_names_its_flag(self, grid, capsys):
+        args = list(self.ARGS)
+        args[args.index("--grid") + 1] = grid
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --grid must be a power of two >= 8, got {grid}\n"
+
+    def test_runtime_never_imports_scipy(self, tmp_path):
+        # The cutoff's logistic takes libm exp through math.exp, so a whole
+        # verify op runs on numpy alone.
+        argv = list(self.ARGS)
+        argv[argv.index("--count") + 1] = "1"
+        argv += ["--out", str(tmp_path / "report.csv")]
+        script = (
+            "import sys\n"
+            "import lplorentz.cli\n"
+            f"assert lplorentz.cli.main({argv!r}) == 0\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        )
+        src = Path(lplorentz.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+        assert (tmp_path / "report.csv").read_text().count("\n") == 3
+
     def test_missing_r_choice_exits_2(self, capsys):
         args = [arg for arg in self.ARGS if arg != "--auto-r-star"]
         assert main(args) == 2
@@ -257,6 +290,16 @@ class TestInterpCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "check", ["k-equivalence", "layer-cake", "partition", "duality", "reiteration"]
+    )
+    @pytest.mark.parametrize("theta, shown", [("2", "2.0"), ("0", "0.0"), ("1", "1.0"), ("nan", "nan")])
+    def test_theta_outside_unit_interval_names_its_flag(self, check, theta, shown, capsys):
+        assert main(["interp", "--check", check, "--theta", theta, "--suite-size", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --theta must lie in (0, 1), got {shown}\n"
 
     @pytest.mark.parametrize(
         "check", ["k-equivalence", "layer-cake", "partition", "duality", "reiteration"]
@@ -341,9 +384,15 @@ class TestSharpnessCommand:
         assert captured.out == ""
         assert captured.err == f"error: {flag[2:]} must lie in [1, inf], got 0.5\n"
 
-    def test_bad_level_range_exit_2(self, capsys):
-        assert main(self.CANONICAL + ["--Lmin", "0"]) == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "flags, shown",
+        [(["--Lmin", "0"], "0 and 64"), (["--Lmin", "64", "--Lmax", "8"], "64 and 8"), (["--Lmax", "8"], "8 and 8")],
+    )
+    def test_bad_level_range_exit_2(self, flags, shown, capsys):
+        assert main(self.CANONICAL + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need 1 <= --Lmin < --Lmax, got {shown}\n"
 
     def test_slow_convergence_surfaces_as_runtime_failure(self, capsys):
         # r0 = 2, r1 = 4 with the composed r needs a dual Lorentz norm whose

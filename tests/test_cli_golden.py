@@ -2,14 +2,9 @@
 with recorded reports under ``tests/golden/``.
 
 Every report runs without ``--out``, so the ``# config:`` line holds no path.
-The comparison is exact bytes, with two exceptions (neither applies to the
-JSON reports, which pin the ``summary`` object and compare as exact bytes):
-
-- the ``lhs`` and ``ratio`` cells of the ``layer-cake`` and ``reiteration``
-  interp reports are compared at relative tolerance ``4e-15``, because their
-  scale sums depend on the summation order of a few floats;
-- ``norm`` reports are compared on their ``norm`` value only, because the
-  ``params`` echo holds the path of the temporary field file.
+The comparison is exact bytes; ``norm`` reports are compared on their
+``norm`` value only, because the ``params`` echo holds the path of the
+temporary field file.
 
 After an intended change of the output, re-record every golden file with
 ``PYTHONPATH=src python3 tests/test_cli_golden.py`` and review the diff of
@@ -65,9 +60,6 @@ REPORTS = {
     ],
 }
 
-# (report, column) whose cells are compared at relative tolerance 4e-15
-_LOOSE = {(f"interp-{check}", col) for check in ("layer-cake", "reiteration") for col in ("lhs", "ratio")}
-
 # golden file stem -> norm flags, evaluated on the field of ``_write_cosine_field``
 NORMS = {
     "norm-lebesgue": ["--space", "lebesgue", "--p", "3"],
@@ -96,25 +88,10 @@ def _norm_value(field: Path, flags) -> str:
 
 
 def _assert_same_report(name: str, got: str, want: str) -> None:
-    if got == want:
-        return
-    got_lines, want_lines = got.splitlines(), want.splitlines()
-    assert len(got_lines) == len(want_lines), f"{name}: line count changed"
-    columns = want_lines[1].split(",") if len(want_lines) > 1 else []
-    for number, (g, w) in enumerate(zip(got_lines, want_lines), 1):
-        if g == w:
-            continue
-        g_cells, w_cells = g.split(","), w.split(",")
-        assert len(g_cells) == len(w_cells) == len(columns) and number > 2, (
-            f"{name}, line {number}:\n  got  {g}\n  want {w}"
-        )
-        for col, gc, wc in zip(columns, g_cells, w_cells):
-            if gc == wc:
-                continue
-            assert (name, col) in _LOOSE, f"{name}, line {number}, {col}: got {gc}, want {wc}"
-            assert float(gc) == pytest.approx(float(wc), rel=4e-15, abs=0.0), (
-                f"{name}, line {number}, {col}: got {gc}, want {wc}"
-            )
+    """Exact bytes; a mismatch names its first differing line."""
+    for number, (g, w) in enumerate(zip(got.splitlines(), want.splitlines()), 1):
+        assert g == w, f"{name}, line {number}:\n  got  {g}\n  want {w}"
+    assert got == want, f"{name}: line count changed"
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))

@@ -1,6 +1,7 @@
 """Tests for grids, cutoff profiles, and dyadic block decompositions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,64 @@ class TestCutoffProfile:
         for j in range(-3, 9):
             total = total + profile.psi(rho / 2.0**j)
         assert np.allclose(total, profile.phi(rho / 2.0**9), atol=1e-15)
+
+    @staticmethod
+    def transition_band():
+        """Radii over the whole transition band ``1/2 < rho < 1``, dense near
+        both ends, where ``exp`` underflows (``rho -> 1/2``) and overflows
+        (``rho -> 1``)."""
+        edge = np.geomspace(1e-17, 0.25, 2000)
+        rho = np.concatenate([np.linspace(0.5, 1.0, 20001), 0.5 + edge, 1.0 - edge])
+        return rho[(rho > 0.5) & (rho < 1.0)]
+
+    @pytest.mark.parametrize("sharpness", [0.3, 1.0, 2.5])
+    def test_logistic_is_bit_equal_to_scipy_expit(self, sharpness):
+        expit = pytest.importorskip("scipy.special").expit
+        profile = make_cutoff_profile(sharpness)
+        rho = self.transition_band()
+        t = 2.0 * rho - 1.0
+        want = expit(sharpness * (1.0 / t - 1.0 / (1.0 - t)))
+        # both saturated ends are reached
+        assert np.any(want == 0.0) and np.any(want == 1.0)
+        assert profile.phi(rho).tobytes() == want.tobytes()
+        for r in (float(np.nextafter(0.5, 1.0)), 0.75, 0.999, float(np.nextafter(1.0, 0.0))):
+            got = profile.phi(r)
+            assert type(got) is float
+            assert got == float(expit(sharpness * (1.0 / (2.0 * r - 1.0) - 1.0 / (2.0 - 2.0 * r))))
+
+    @pytest.mark.parametrize(
+        "rho, want",
+        [
+            # phi at sharpness 1, recorded from scipy.special.expit; at each
+            # radius 1 / (1 + np.exp(-z)) is one unit in the last place off
+            ("0x1.31dp-1", "0x1.f5d194d462f42p-1"),
+            ("0x1.901p-1", "0x1.8033b6fb36b98p-2"),
+            ("0x1.a07p-1", "0x1.02f691fb41609p-2"),
+            ("0x1.b1ep-1", "0x1.194418c858a0fp-3"),
+            ("0x1.c77p-1", "0x1.340a2eec07433p-5"),
+            ("0x1.e99p-1", "0x1.165e76ed047f5p-15"),
+        ],
+    )
+    def test_logistic_keeps_the_libm_exp_bits(self, rho, want):
+        profile = make_cutoff_profile(1.0)
+        assert profile.phi(float.fromhex(rho)) == float.fromhex(want)
+        assert profile.phi(np.array([float.fromhex(rho)]))[0] == float.fromhex(want)
+
+    @pytest.mark.parametrize("sharpness", [0.3, 1.0, 2.5])
+    def test_overflow_end_is_exactly_zero_without_warning(self, sharpness):
+        profile = make_cutoff_profile(sharpness)
+        rho = self.transition_band()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = profile.phi(rho)
+            at_one = profile.phi(np.nextafter(1.0, 0.0))
+        assert at_one == 0.0
+        # exp(s/(1-t) - s/t) overflows once s/(1-t) passes ln(DBL_MAX) ~ 709.78
+        far = 1.0 - rho < sharpness / 1500.0
+        assert np.any(far) and np.all(vals[far] == 0.0)
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        order = np.argsort(rho)
+        assert np.all(np.diff(vals[order]) <= 0.0)
 
 
 def per_block_decomposition(f, profile, j_min, j_max):
