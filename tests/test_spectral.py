@@ -1,5 +1,6 @@
 """Tests for grids, cutoff profiles, and dyadic block decompositions."""
 
+import hashlib
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from lplorentz.spectral import (
     BlockDecomposition,
     GridSpec,
     SampledField,
+    _multiplier_stack,
     decompose,
     load_field,
     lowest_scale_for_dc_only,
@@ -163,6 +165,38 @@ class TestCutoffProfile:
         assert np.all((vals >= 0.0) & (vals <= 1.0))
         order = np.argsort(rho)
         assert np.all(np.diff(vals[order]) <= 0.0)
+
+
+class TestMultiplierStackDigests:
+    """The multiplier stacks that the commands build, pinned bit for bit.
+
+    Every ``verify`` and block-space ``norm`` report is the FFT of a field
+    times one of these stacks, but the golden reports are blind to a last-bit
+    change in them; a sha256 of the raw float64 bytes is not.
+    """
+
+    @pytest.mark.parametrize(
+        "dim, points, period, j_min, j_max, digest",
+        [
+            # verify (single-block, multi-block-random, lacunary) and norm, grid 1024
+            (1, 1024, TWO_PI, 0, 8, "efeb04af7ce8cef1bc767ae898062f1f3e5c5737d5e3b868024806917b0d83f5"),
+            # the same at the default --grid 4096
+            (1, 4096, TWO_PI, 0, 8, "7647cb86ea6294322f80bf4a17121a59c08b60e77e0d0cc6cc910619d735f737"),
+            # norm's default scale range on a 4096-point field
+            (1, 4096, TWO_PI, 0, 10, "a2ee4a86a7cabcdd651d35955e486f649da83076679bfc40c937f8317751bddc"),
+            # verify --generator atomic (period 16)
+            (1, 1024, 16.0, -2, 6, "0e61edee16d50dc65bf6a039a5628b28664e37ad419fdf4dace304c7a2c0f166"),
+            (1, 4096, 16.0, -2, 6, "6eee2b6c300d2d37be53528296b0d21596680f10c83c51a1ac90ed5d1299c2ce"),
+            # the sharpness atom's Besov calibration grid
+            (1, 4096, 8.0, -2, 9, "ec642ebd08e5e9f82a91ac835da259f98c5c23fc90230948949def8d4de3449e"),
+            # a 2-D stack
+            (2, 64, TWO_PI, 0, 4, "f1ce2a7e65afb6b6321934c56c0ab012fb1abb098f7b47c16bd1112682fd9f0c"),
+        ],
+    )
+    def test_stack_bytes_are_pinned(self, dim, points, period, j_min, j_max, digest):
+        stack = _multiplier_stack(GridSpec(dim, points, period), make_cutoff_profile(1.0), j_min, j_max)
+        assert stack.shape == (j_max - j_min + 2, *(points,) * dim)
+        assert hashlib.sha256(np.ascontiguousarray(stack, dtype="<f8").tobytes()).hexdigest() == digest
 
 
 def per_block_decomposition(f, profile, j_min, j_max):
