@@ -10,13 +10,11 @@ the sharpness of its outer exponent.
 
 from .spectral import (
     BlockDecomposition,
-    CutoffProfile,
     GridSpec,
     SampledField,
     decompose,
     load_field,
     lowest_scale_for_dc_only,
-    make_cutoff_profile,
     reconstruct,
     save_field,
 )
@@ -57,7 +55,6 @@ from .interpolation import (
 from .inequalities import (
     CaseParams,
     GENERATORS,
-    derive_params,
     generate_field,
     hedberg_constant,
     hedberg_pointwise,

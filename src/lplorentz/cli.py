@@ -28,7 +28,7 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from .inequalities import GENERATORS, derive_params, run_suite
+from .inequalities import GENERATORS, CaseParams, run_suite
 from .interpolation import run_interp_suite
 from .norms import (
     BesovParams,
@@ -40,7 +40,7 @@ from .norms import (
     triebel_seminorm,
 )
 from .sharpness import Atom, build_atom, build_params, default_level_grid, growth_experiment
-from .spectral import _is_power_of_two, decompose, load_field, lowest_scale_for_dc_only, make_cutoff_profile
+from .spectral import _is_power_of_two, decompose, load_field, lowest_scale_for_dc_only
 
 __all__ = ["main", "emit_report"]
 
@@ -114,7 +114,11 @@ def emit_report(records, columns, header, summary=None, fmt: str = "csv", path=N
 
 
 def _cmd_norm(args: argparse.Namespace) -> int:
-    field = load_field(args.input)
+    try:
+        field = load_field(args.input)
+    except Exception as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise RuntimeError(f"cannot read field from --input {args.input!r}: {reason}") from exc
     if args.space == "lebesgue":
         if args.p is None:
             raise ValueError("--p is required for the lebesgue space")
@@ -126,12 +130,17 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     else:
         if args.s is None or args.p is None or args.q is None:
             raise ValueError("--s, --p and --q are required for block-based spaces")
+        top = math.floor(math.log2(field.grid.nyquist * (1.0 + 1e-12))) - 1
         j_min = args.jmin if args.jmin is not None else lowest_scale_for_dc_only(field.grid)
-        if args.jmax is not None:
-            j_max = args.jmax
-        else:
-            j_max = math.floor(math.log2(field.grid.nyquist * (1.0 + 1e-12))) - 1
-        d = decompose(field, make_cutoff_profile(1.0), j_min, j_max)
+        j_max = args.jmax if args.jmax is not None else top
+        if j_min >= j_max:
+            raise ValueError(f"--jmin must be strictly below --jmax, got {j_min} and {j_max}")
+        if j_max > top:
+            raise ValueError(
+                f"--jmax must be at most {top}: the top block frequency 2**{j_max + 1} exceeds "
+                f"the grid Nyquist frequency {field.grid.nyquist:g}"
+            )
+        d = decompose(field, j_min, j_max)
         space = BesovParams(args.s, args.p, args.q)
         value = besov_seminorm(d, space) if args.space == "besov" else triebel_seminorm(d, space)
     record = {"norm": value, "params": _config_echo(args)}
@@ -153,14 +162,8 @@ def _emit_suite(args: argparse.Namespace, records: list[dict]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    case = derive_params(
-        args.alpha,
-        args.beta,
-        args.q0,
-        args.q1,
-        args.r0,
-        args.r1,
-        r=None if args.auto_r_star else args.r,
+    case = CaseParams(
+        args.alpha, args.beta, args.q0, args.q1, args.r0, args.r1, None if args.auto_r_star else args.r
     )
     if not (_is_power_of_two(args.grid) and args.grid >= 8):
         raise ValueError(f"--grid must be a power of two >= 8, got {args.grid}")

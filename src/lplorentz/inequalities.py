@@ -33,19 +33,16 @@ from .norms import (
 )
 from .spectral import (
     BlockDecomposition,
-    CutoffProfile,
     GridSpec,
     SampledField,
     decompose,
     lowest_scale_for_dc_only,
-    make_cutoff_profile,
     reconstruct,
 )
 
 __all__ = [
     "CaseParams",
     "AdmissibilityResult",
-    "derive_params",
     "hedberg_constant",
     "hedberg_pointwise",
     "verify_case",
@@ -109,19 +106,6 @@ class CaseParams:
     @property
     def r_star(self) -> float:
         return _compose(self.theta, self.r0, self.r1)
-
-
-def derive_params(
-    alpha: float,
-    beta: float,
-    q0: float,
-    q1: float,
-    r0: float,
-    r1: float,
-    r: float | None = None,
-) -> CaseParams:
-    """Parameter set of one case; ``r`` defaults to the composed exponent ``r_star``."""
-    return CaseParams(alpha, beta, q0, q1, r0, r1, r)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +250,9 @@ def segment_admissible(case: CaseParams) -> AdmissibilityResult:
 # Test-field generators
 # ---------------------------------------------------------------------------
 
-# Cutoff and scale ranges shared by all suite grids.  Fields are built as
-# samples of grid-independent continuum functions so that ratios can be
-# compared across grid refinements.
-_PROFILE: CutoffProfile = make_cutoff_profile(1.0)
-
+# Scale ranges shared by all suite grids.  Fields are built as samples of
+# grid-independent continuum functions so that ratios can be compared across
+# grid refinements.
 _STANDARD_PERIOD = 2.0 * math.pi
 _STANDARD_J_MAX = 8  # needs points_per_axis >= 1024 at period 2*pi
 _ATOMIC_PERIOD = 16.0
@@ -408,11 +390,7 @@ def run_suite(
     records = []
     for instance_id, child in enumerate(children):
         field = generate_field(generator, np.random.default_rng(child), grid)
-        # ``d`` lives until the next ``decompose`` has run: freeing the blocks
-        # before it (``verify_case(case, decompose(...))``) made 4096-point
-        # suites about 45 % slower
-        d = decompose(field, _PROFILE, j_min, j_max)
-        lhs, rhs = verify_case(case, d)
+        lhs, rhs = verify_case(case, decompose(field, j_min, j_max))
         records.append({
             "instance_id": instance_id,
             "lhs": lhs,

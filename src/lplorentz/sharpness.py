@@ -13,7 +13,7 @@ sweep are nested, so every level is read off the largest family in one pass.
 
 The Besov bounds and the pairing are closed forms.  The dual Lorentz norm
 of ``g_L`` is computed from the atom's rearrangement *sampled* at
-``grid_resolution`` midpoints (4096 by default), so it is exact for the
+the 4096 midpoints of :func:`build_atom`, so it is exact for the
 sampled atom, not for the polynomial one; acceptance test 8 bounds that
 sampling error at 2 % against rasterized fields.  When ``r = p`` the dual
 space is ``L^{p'}`` and the norm is the ``l^{p'}`` sum of the per-scale
@@ -41,7 +41,6 @@ from .norms import (
     RearrangementProfile,
     _as_besov_params,
     _check_exponent,
-    _compose,
     _inv,
     _power_sum_log2,
     _profile_from_sorted,
@@ -50,7 +49,8 @@ from .norms import (
     lorentz_norm,
     rearrangement,
 )
-from .spectral import GridSpec, SampledField, decompose, make_cutoff_profile
+from .inequalities import CaseParams
+from .spectral import GridSpec, SampledField, decompose
 
 __all__ = [
     "Atom",
@@ -76,6 +76,13 @@ __all__ = [
 
 _INF = math.inf
 
+# Every atom is the ``moments``-th derivative of ``(1 - x**2)**M`` with
+# ``M = moments + 2``, sampled at 4096 midpoints of ``[-1, 1]``; resolving it
+# takes 16 midpoints per unit of ``M``, so ``moments`` is at most 254.
+_SMOOTHNESS_ORDER = 2
+_MIDPOINTS = 4096
+_MAX_MOMENTS = _MIDPOINTS // 16 - _SMOOTHNESS_ORDER
+
 
 # ---------------------------------------------------------------------------
 # Atoms
@@ -91,15 +98,12 @@ class Atom:
     atom is that polynomial on ``[-1, 1]`` and zero outside.  Moments of
     order below ``moments`` vanish and the profile is normalized to unit L2
     norm.  ``rearrangement`` is the decreasing rearrangement of ``|atom|``
-    sampled at ``grid_resolution`` midpoints; the distributions of atomic
-    sums are exact merges of scaled copies of it, so they inherit its
-    sampling error.  ``l2_norm_sq`` and ``l1_norm`` are stored for
+    sampled at 4096 midpoints; the distributions of atomic sums are exact
+    merges of scaled copies of it, so they inherit its sampling error.  ``l2_norm_sq`` and ``l1_norm`` are stored for
     closed-form pairings and bounds.
     """
 
     moments: int
-    smoothness_order: int
-    grid_resolution: int
     profile_coefficients: np.ndarray
     l2_norm_sq: float
     l1_norm: float
@@ -124,25 +128,23 @@ def _polynomial_moment(poly: Polynomial, order: int) -> float:
     return float(anti(1.0) - anti(-1.0))
 
 
-def build_atom(moments: int, smoothness_order: int = 2, grid_resolution: int = 4096) -> Atom:
+def build_atom(moments: int) -> Atom:
     """Atom with ``moments`` vanishing moments: the ``moments``-th derivative
-    of the bump ``(1 - x**2)**M`` with ``M = moments + smoothness_order``,
-    normalized to unit L2 norm.
+    of the bump ``(1 - x**2)**M`` with ``M = moments + 2``, normalized to unit
+    L2 norm.
 
     Every moment of order below ``moments`` vanishes exactly by integration
     by parts (the bump and its first ``M - 1`` derivatives vanish at the
     endpoints); this is verified both on the exact polynomial and by midpoint
-    quadrature at ``grid_resolution``.
+    quadrature at 4096 midpoints.
     """
     if moments < 1:
         raise ValueError("moments must be >= 1")
-    if smoothness_order < 1:
-        raise ValueError("smoothness_order must be >= 1")
-    order = moments + smoothness_order
-    if grid_resolution < 128 or grid_resolution < 16 * order:
+    if moments > _MAX_MOMENTS:
         raise ValueError(
-            f"grid_resolution {grid_resolution} too coarse to resolve a degree-{2 * order} profile"
+            f"moments must be at most {_MAX_MOMENTS}, which {_MIDPOINTS} midpoints resolve, got {moments}"
         )
+    order = moments + _SMOOTHNESS_ORDER
     bump = Polynomial([1.0, 0.0, -1.0]) ** order
     profile = bump.deriv(moments)
     l2_sq = _polynomial_moment(profile * profile, 0)
@@ -153,8 +155,8 @@ def build_atom(moments: int, smoothness_order: int = 2, grid_resolution: int = 4
         if residual > 1e-10:
             raise ArithmeticError(f"moment {gamma} failed to vanish: {residual!r}")
 
-    cell = 2.0 / grid_resolution
-    u = -1.0 + cell * (np.arange(grid_resolution) + 0.5)
+    cell = 2.0 / _MIDPOINTS
+    u = -1.0 + cell * (np.arange(_MIDPOINTS) + 0.5)
     samples = np.polynomial.polynomial.polyval(u, profile.coef)
     l1 = float(np.sum(np.abs(samples)) * cell)
     for gamma in range(moments):
@@ -164,16 +166,7 @@ def build_atom(moments: int, smoothness_order: int = 2, grid_resolution: int = 4
 
     profile_rearr = rearrangement(MeasuredValues(np.abs(samples), np.full_like(samples, cell)))
     l2_norm_sq = _polynomial_moment(profile * profile, 0)
-    return Atom(
-        moments,
-        smoothness_order,
-        grid_resolution,
-        profile.coef,
-        l2_norm_sq,
-        l1,
-        float(np.max(np.abs(samples))),
-        profile_rearr,
-    )
+    return Atom(moments, profile.coef, l2_norm_sq, l1, float(np.max(np.abs(samples))), profile_rearr)
 
 
 # ---------------------------------------------------------------------------
@@ -223,46 +216,17 @@ def solve_exponents(n: int, alpha: float, beta: float, q0: float, q1: float) -> 
     return delta, x_exp, y_exp
 
 
-@dataclass(frozen=True)
-class SharpnessParams:
-    """Full parameter set of one extremal family.
-
-    Carries the case exponents, the solved ``(delta, X, Y)`` and the first
-    scale ``j1``; ``theta``, the Lorentz target ``p`` and the composed outer
-    exponent ``r_star`` are derived as in the verification harness, and
-    ``r = None`` selects ``r_star``.
+@dataclass(frozen=True, kw_only=True)
+class SharpnessParams(CaseParams):
+    """The exponents of one case plus what its extremal family needs: the
+    dimension ``n`` and the solved ``(delta, X, Y)`` of :func:`solve_exponents`.
+    ``theta``, ``p``, ``r_star`` and the checks are those of :class:`CaseParams`.
     """
 
     n: int
-    alpha: float
-    beta: float
-    q0: float
-    q1: float
-    r0: float
-    r1: float
-    r: float | None
     delta: float
     x_exp: float
     y_exp: float
-    j1: int = 1
-
-    def __post_init__(self) -> None:
-        for name in ("q0", "q1", "r0", "r1"):
-            object.__setattr__(self, name, _check_exponent(name, getattr(self, name)))
-        r = self.r_star if self.r is None else _check_exponent("r", self.r)
-        object.__setattr__(self, "r", r)
-
-    @property
-    def theta(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
-    @property
-    def p(self) -> float:
-        return _compose(self.theta, self.q0, self.q1)
-
-    @property
-    def r_star(self) -> float:
-        return _compose(self.theta, self.r0, self.r1)
 
 
 def build_params(
@@ -274,7 +238,6 @@ def build_params(
     r0: float,
     r1: float,
     r: float | None = None,
-    j1: int = 1,
 ) -> SharpnessParams:
     """Solve the exponent system and assemble a parameter set; ``r`` defaults
     to the composed exponent ``r_star``.  Only dimension 1 is supported for
@@ -283,7 +246,7 @@ def build_params(
         raise ValueError("only dimension n=1 is supported for atomic families")
     q0, q1 = _check_exponent("q0", q0), _check_exponent("q1", q1)
     delta, x_exp, y_exp = solve_exponents(n, alpha, beta, q0, q1)
-    return SharpnessParams(n, alpha, beta, q0, q1, r0, r1, r, delta, x_exp, y_exp, j1)
+    return SharpnessParams(alpha, beta, q0, q1, r0, r1, r, n=n, delta=delta, x_exp=x_exp, y_exp=y_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +340,11 @@ def placement_extent(s: AtomicSum) -> int:
 
 
 def build_closed_form_family(params: SharpnessParams, atom: Atom, levels: int) -> tuple[AtomicSum, AtomicSum]:
-    """The pair ``(f_L, g_L)`` over ``levels`` scales with exact real counts
-    ``2**(delta*j)``; their Besov bounds and pairings are closed forms."""
+    """The pair ``(f_L, g_L)`` over the scales ``1..levels`` with exact real
+    counts ``2**(delta*j)``; their Besov bounds and pairings are closed forms."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    scales = tuple(range(params.j1, params.j1 + levels))
+    scales = tuple(range(1, levels + 1))
     counts = tuple(scale_counts(params.delta, scales, "exact"))
     f_sum = AtomicSum(atom, params.n, params.x_exp, scales, counts)
     g_sum = AtomicSum(atom, params.n, params.y_exp, scales, counts)
@@ -390,10 +353,11 @@ def build_closed_form_family(params: SharpnessParams, atom: Atom, levels: int) -
 
 def build_family(params: SharpnessParams, atom: Atom, levels: int) -> tuple[AtomicSum, AtomicSum]:
     """The pair ``(f_L, g_L)`` with integer counts and a concrete disjoint
-    placement shared by both sums; disjointness is verified exactly."""
+    placement shared by both sums over the scales ``1..levels``; disjointness
+    is verified exactly."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    scales = tuple(range(params.j1, params.j1 + levels))
+    scales = tuple(range(1, levels + 1))
     counts = tuple(float(c) for c in scale_counts(params.delta, scales, "integer"))
     placement, _ = _placement_for_counts(scales, counts)
     f_sum = AtomicSum(atom, params.n, params.x_exp, scales, counts, placement)
@@ -466,7 +430,7 @@ def _atom_besov_calibration(coefficients: tuple[float, ...], s: float, q: float,
     grid = GridSpec(1, 4096, 8.0)
     x = grid.axis_coordinates()
     field = SampledField(grid, _profile_values(coefficients, x - 4.0))
-    d = decompose(field, make_cutoff_profile(1.0), -2, 9)
+    d = decompose(field, -2, 9)
     return besov_seminorm(d, BesovParams(s, q, r))
 
 
@@ -508,7 +472,7 @@ def atomic_distribution(s: AtomicSum) -> RearrangementProfile:
     Supports are disjoint, so the distribution is the sum of the per-scale
     distributions: scale ``j`` contributes the atom's rearrangement with
     values scaled by ``2**(j*coeff_exp)`` and masses by ``counts[j] * 2**(-j*n)``.
-    The merge is exact for the atom sampled at ``grid_resolution`` midpoints;
+    The merge is exact for the atom sampled at 4096 midpoints;
     against the true atom it carries that sampling error, which acceptance
     test 8 bounds at 2 %.  A growth sweep merges only when ``r != p``; at
     ``r = p`` its dual norm needs no distribution (see :func:`_dual_norms`).

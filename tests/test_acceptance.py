@@ -11,7 +11,7 @@ import pytest
 
 from conftest import random_step_values
 from lplorentz.inequalities import (
-    derive_params,
+    CaseParams,
     generate_field,
     hedberg_constant,
     hedberg_pointwise,
@@ -44,10 +44,9 @@ from lplorentz.sharpness import (
     atomic_distribution,
     solve_exponents,
 )
-from lplorentz.spectral import decompose, make_cutoff_profile
+from lplorentz.spectral import decompose
 
 INF = math.inf
-PROFILE = make_cutoff_profile(1.0)
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -110,7 +109,7 @@ class TestAcceptance:
         for i in range(200):
             rng = np.random.default_rng(3000 + i)
             field = generate_field("multi-block-random", rng, grid)
-            d = decompose(field, PROFILE, 0, 8)
+            d = decompose(field, 0, 8)
             for pair in pairs:
                 _, empirical = hedberg_pointwise(d, *pair)
                 if empirical > constants[pair]:
@@ -189,10 +188,10 @@ class TestAcceptance:
         # by less than 10%, for two generators and four parameter cases.
         start = time.monotonic()
         cases = {
-            "equal-outer": derive_params(0.5, 0.5, 1.0, INF, 2.0, 2.0, r=2.0),
-            "endpoint-outer": derive_params(0.5, 0.5, 1.0, INF, 1.0, INF, r=2.0),
-            "composed-equals-p": derive_params(0.5, 0.5, 1.0, INF, 4.0 / 3.0, 4.0, r=2.0),
-            "ordered-exponents": derive_params(0.5, 0.5, 1.0, INF, 2.0, 4.0, r=8.0 / 3.0),
+            "equal-outer": CaseParams(0.5, 0.5, 1.0, INF, 2.0, 2.0, r=2.0),
+            "endpoint-outer": CaseParams(0.5, 0.5, 1.0, INF, 1.0, INF, r=2.0),
+            "composed-equals-p": CaseParams(0.5, 0.5, 1.0, INF, 4.0 / 3.0, 4.0, r=2.0),
+            "ordered-exponents": CaseParams(0.5, 0.5, 1.0, INF, 2.0, 4.0, r=8.0 / 3.0),
         }
         growths = {}
         ok = True

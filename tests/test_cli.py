@@ -5,6 +5,7 @@ exit codes, report bytes, and error channels are all observable.
 """
 
 import csv
+import errno
 import json
 import math
 import os
@@ -115,6 +116,56 @@ class TestNormCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "failure:" in captured.err
+
+    @staticmethod
+    def unreadable_input(case, tmp_path):
+        """An ``--input`` path that ``load_field`` cannot read, and the reason it gives."""
+        field = tmp_path / "field.json"
+        if case == "missing file":
+            return field, f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(field)!r}"
+        if case == "directory":
+            return tmp_path, f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}"
+        save_field(SampledField(GridSpec(1, 8), np.zeros(8)), field, sidecar=True)
+        if case == "missing sidecar":
+            sidecar = tmp_path / "field.json.bin"
+            sidecar.unlink()
+            return field, f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(sidecar)!r}"
+        doc = json.loads(field.read_text())
+        if case == "no dim":
+            del doc["dim"]
+            field.write_text(json.dumps(doc))
+            return field, "missing key 'dim'"
+        text = json.dumps(doc)[:-5]
+        field.write_text(text)
+        with pytest.raises(json.JSONDecodeError) as truncated:
+            json.loads(text)
+        return field, str(truncated.value)
+
+    @pytest.mark.parametrize("case", ["missing file", "directory", "missing sidecar", "truncated json", "no dim"])
+    def test_unreadable_input_names_the_flag_and_exits_1(self, case, tmp_path, capsys):
+        path, reason = self.unreadable_input(case, tmp_path)
+        assert main(["norm", "--space", "besov", "--input", str(path), "--s", "0.5", "--p", "2", "--q", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"failure: cannot read field from --input {str(path)!r}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jmin", "5", "--jmax", "3"], "--jmin must be strictly below --jmax, got 5 and 3"),
+            (["--jmin", "9"], "--jmin must be strictly below --jmax, got 9 and 8"),
+            (["--jmax", "40"], "--jmax must be at most 8: the top block frequency 2**41 exceeds "
+                               "the grid Nyquist frequency 512"),
+            (["--jmax", "9"], "--jmax must be at most 8: the top block frequency 2**10 exceeds "
+                              "the grid Nyquist frequency 512"),
+        ],
+    )
+    def test_bad_scale_range_names_its_flag(self, flags, message, cosine_field_path, capsys):
+        argv = ["norm", "--space", "triebel", "--input", str(cosine_field_path), "--s", "0.5", "--p", "2", "--q", "2"]
+        assert main([*argv, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestVerifyCommand:
@@ -383,6 +434,12 @@ class TestSharpnessCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {flag[2:]} must lie in [1, inf], got 0.5\n"
+
+    def test_unresolvable_moments_name_the_flag(self, capsys):
+        assert main(self.CANONICAL + ["--moments", "400"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: moments must be at most 254, which 4096 midpoints resolve, got 400\n"
 
     @pytest.mark.parametrize(
         "flags, shown",

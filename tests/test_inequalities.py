@@ -13,8 +13,8 @@ import pytest
 
 from lplorentz import inequalities
 from lplorentz.inequalities import (
+    CaseParams,
     GENERATORS,
-    derive_params,
     generate_field,
     hedberg_constant,
     hedberg_pointwise,
@@ -30,11 +30,9 @@ from lplorentz.spectral import (
     GridSpec,
     SampledField,
     decompose,
-    make_cutoff_profile,
     reconstruct,
 )
 
-PROFILE = make_cutoff_profile(1.0)
 INF = math.inf
 
 
@@ -49,7 +47,7 @@ def full_grid_atom_row(x, period, centers, scale_j, amplitude):
 
 def canonical_case(r: float = 2.0):
     """alpha = beta = 1/2, endpoint integrabilities (1, inf): theta = 1/2, p = 2."""
-    return derive_params(0.5, 0.5, 1.0, INF, 2.0, 2.0, r=r)
+    return CaseParams(0.5, 0.5, 1.0, INF, 2.0, 2.0, r=r)
 
 
 class TestDeriveParams:
@@ -61,13 +59,13 @@ class TestDeriveParams:
         assert case.r == 2.0
 
     def test_r_defaults_to_composed_exponent(self):
-        case = derive_params(0.5, 0.5, 1.0, INF, 1.0, INF)
+        case = CaseParams(0.5, 0.5, 1.0, INF, 1.0, INF)
         # 1/r* = (1-theta)/r0 + theta/r1 = 1/2 * 1 + 1/2 * 0 = 1/2.
         assert case.r_star == 2.0
         assert case.r == 2.0
 
     def test_asymmetric_regularities(self):
-        case = derive_params(0.25, 0.75, 1.0, INF, 2.0, 4.0)
+        case = CaseParams(0.25, 0.75, 1.0, INF, 2.0, 4.0)
         assert case.theta == pytest.approx(0.25, rel=1e-15)
         # 1/p = 0.75 * 1 + 0.25 * 0 = 0.75.
         assert case.p == pytest.approx(4.0 / 3.0, rel=1e-15)
@@ -75,25 +73,25 @@ class TestDeriveParams:
         assert case.r_star == pytest.approx(1.0 / 0.4375, rel=1e-15)
 
     def test_equal_inner_exponents_allowed(self):
-        case = derive_params(1.0, 1.0, 2.0, 2.0, 2.0, 2.0)
+        case = CaseParams(1.0, 1.0, 2.0, 2.0, 2.0, 2.0)
         assert case.p == 2.0
 
     def test_degenerate_integrability_rejected(self):
         # q0 = q1 = 1 composes to p = 1; q0 = q1 = inf composes to p = inf.
         with pytest.raises(ValueError):
-            derive_params(0.5, 0.5, 1.0, 1.0, 2.0, 2.0)
+            CaseParams(0.5, 0.5, 1.0, 1.0, 2.0, 2.0)
         with pytest.raises(ValueError):
-            derive_params(0.5, 0.5, INF, INF, 2.0, 2.0)
+            CaseParams(0.5, 0.5, INF, INF, 2.0, 2.0)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
-            derive_params(0.0, 0.5, 1.0, INF, 2.0, 2.0)
+            CaseParams(0.0, 0.5, 1.0, INF, 2.0, 2.0)
         with pytest.raises(ValueError):
-            derive_params(0.5, -1.0, 1.0, INF, 2.0, 2.0)
+            CaseParams(0.5, -1.0, 1.0, INF, 2.0, 2.0)
         with pytest.raises(ValueError):
-            derive_params(0.5, 0.5, 0.5, INF, 2.0, 2.0)
+            CaseParams(0.5, 0.5, 0.5, INF, 2.0, 2.0)
         with pytest.raises(ValueError):
-            derive_params(0.5, 0.5, 1.0, INF, 2.0, 2.0, r=0.9)
+            CaseParams(0.5, 0.5, 1.0, INF, 2.0, 2.0, r=0.9)
 
 
 class TestHedbergConstant:
@@ -143,7 +141,7 @@ class TestHedbergPointwise:
         grid = GridSpec(1, 1024, 2.0 * math.pi)
         x = grid.axis_coordinates()
         field = SampledField(grid, 1.7 * np.cos(16.0 * x))
-        d = decompose(field, PROFILE, 0, 7)
+        d = decompose(field, 0, 7)
         bound, empirical = hedberg_pointwise(d, 0.5, 0.5)
         product = bound.samples / hedberg_constant(0.5, 0.5)
         block_sum = np.abs(d.blocks.sum(axis=0))
@@ -158,7 +156,7 @@ class TestHedbergPointwise:
         grid = GridSpec(1, 1024, 2.0 * math.pi)
         x = grid.axis_coordinates()
         field = SampledField(grid, np.cos(16.0 * x) + 0.6 * np.cos(64.0 * x))
-        d = decompose(field, PROFILE, 0, 7)
+        d = decompose(field, 0, 7)
         for alpha, beta in ((0.5, 0.5), (0.25, 0.75)):
             bound, empirical = hedberg_pointwise(d, alpha, beta)
             block_sum = np.abs(d.blocks.sum(axis=0))
@@ -175,14 +173,14 @@ class TestHedbergPointwise:
             for seed in range(25):
                 rng = np.random.default_rng(seed)
                 field = generate_field("multi-block-random", rng, grid)
-                d = decompose(field, PROFILE, 0, 8)
+                d = decompose(field, 0, 8)
                 _, empirical = hedberg_pointwise(d, alpha, beta)
                 assert empirical <= c0
 
     def test_rejects_bad_inputs(self):
         grid = GridSpec(1, 256, 2.0 * math.pi)
         x = grid.axis_coordinates()
-        d = decompose(SampledField(grid, np.cos(4.0 * x)), PROFILE, 0, 5)
+        d = decompose(SampledField(grid, np.cos(4.0 * x)), 0, 5)
         with pytest.raises(ValueError):
             hedberg_pointwise(d, 0.0, 1.0)
         empty = BlockDecomposition(grid, 0, -1, np.empty((0, 256)), np.zeros(256))
@@ -195,7 +193,7 @@ class TestVerifyCase:
         case = canonical_case()
         grid = make_suite_grid(1024, "multi-block-random")
         field = generate_field("multi-block-random", np.random.default_rng(11), grid)
-        d = decompose(field, PROFILE, 0, 8)
+        d = decompose(field, 0, 8)
         got_lhs, got_rhs = verify_case(case, d)
         assert got_lhs > 0.0 and got_rhs > 0.0
         # The sides are exactly the norms of the reconstruction and blocks.
@@ -210,7 +208,7 @@ class TestVerifyCase:
     def test_zero_field_reports_zero_ratio(self):
         case = canonical_case()
         grid = GridSpec(1, 512, 2.0 * math.pi)
-        d = decompose(SampledField(grid, np.zeros(512)), PROFILE, 0, 6)
+        d = decompose(SampledField(grid, np.zeros(512)), 0, 6)
         assert verify_case(case, d) == (0.0, 0.0)
 
     def test_constant_field_falsifies_and_raises(self):
@@ -219,7 +217,7 @@ class TestVerifyCase:
         # norm.  That combination would disprove the inequality, so it raises.
         case = canonical_case()
         grid = GridSpec(1, 1024, 2.0 * math.pi)
-        d = decompose(SampledField(grid, np.full(1024, 2.0)), PROFILE, 0, 7)
+        d = decompose(SampledField(grid, np.full(1024, 2.0)), 0, 7)
         with pytest.raises(ArithmeticError):
             verify_case(case, d)
 
@@ -251,14 +249,14 @@ class TestAdmissibilitySegment:
     def test_outer_pair_outside_segment(self):
         # p = 4/3 pushes the segment to x >= 1/2; the pair (1/4, 1/8) misses
         # both ordering chains.
-        case = derive_params(1.0, 1.0, 4.0 / 3.0, 4.0 / 3.0, 4.0, 8.0, r=2.0)
+        case = CaseParams(1.0, 1.0, 4.0 / 3.0, 4.0 / 3.0, 4.0, 8.0, r=2.0)
         result = segment_admissible(case)
         assert not result.admissible
         assert not bool(result)
         assert not result.chain_low and not result.chain_high
 
     def test_requires_p_at_most_two(self):
-        case = derive_params(1.0, 1.0, 3.0, 3.0, 2.0, 2.0)
+        case = CaseParams(1.0, 1.0, 3.0, 3.0, 2.0, 2.0)
         assert case.p == 3.0
         with pytest.raises(ValueError):
             segment_admissible(case)

@@ -25,7 +25,7 @@ from lplorentz.norms import (
     triebel_seminorm,
 )
 from lplorentz.norms import _power_sum_log2, _profile_from_sorted
-from lplorentz.spectral import GridSpec, SampledField, decompose, make_cutoff_profile
+from lplorentz.spectral import GridSpec, SampledField, decompose
 
 INF = math.inf
 TWO_PI = 2.0 * math.pi
@@ -385,7 +385,7 @@ class TestBlockSpaceSeminorms:
         grid = GridSpec(1, 1024, TWO_PI)
         x = grid.axis_coordinates()
         f = SampledField(grid, np.cos(k * x))
-        return decompose(f, make_cutoff_profile(1.0), 0, 8)
+        return decompose(f, 0, 8)
 
     def test_single_mode_closed_form(self):
         # cos(16x) occupies exactly block 4; L2 norm over the period is sqrt(pi)
@@ -407,7 +407,7 @@ class TestBlockSpaceSeminorms:
         grid = GridSpec(1, 1024, TWO_PI)
         x = grid.axis_coordinates()
         f = SampledField(grid, np.cos(4.0 * x) + 3.0 * np.cos(64.0 * x))
-        d = decompose(f, make_cutoff_profile(1.0), 0, 8)
+        d = decompose(f, 0, 8)
         s, q = 0.5, 2.0
         t2 = 2.0 ** (2 * s) * math.sqrt(math.pi)
         t6 = 2.0 ** (6 * s) * 3.0 * math.sqrt(math.pi)
@@ -422,7 +422,7 @@ class TestBlockSpaceSeminorms:
         grid = GridSpec(1, 1024, TWO_PI)
         x = grid.axis_coordinates()
         f = SampledField(grid, np.cos(4.0 * x) + np.cos(64.0 * x))
-        d = decompose(f, make_cutoff_profile(1.0), 0, 8)
+        d = decompose(f, 0, 8)
         params = BesovParams(0.25, 2.0, 2.0)
         t = triebel_seminorm(d, params)
         parts = sorted(
@@ -433,6 +433,6 @@ class TestBlockSpaceSeminorms:
 
     def test_zero_decomposition(self):
         grid = GridSpec(1, 256, TWO_PI)
-        d = decompose(SampledField(grid, np.zeros(256)), make_cutoff_profile(1.0), 0, 6)
+        d = decompose(SampledField(grid, np.zeros(256)), 0, 6)
         assert besov_seminorm(d, BesovParams(0.5, 2.0, 2.0)) == 0.0
         assert triebel_seminorm(d, BesovParams(0.5, 2.0, 2.0)) == 0.0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lplorentz import sharpness
+from lplorentz.inequalities import CaseParams
 from lplorentz.norms import (
     BesovParams,
     LorentzParams,
@@ -22,6 +23,7 @@ from lplorentz.norms import (
 )
 from lplorentz.sharpness import (
     AtomicSum,
+    SharpnessParams,
     atomic_besov_upper,
     atomic_distribution,
     build_atom,
@@ -38,10 +40,9 @@ from lplorentz.sharpness import (
     solve_exponents,
     verify_disjoint,
 )
-from lplorentz.spectral import GridSpec, decompose, lowest_scale_for_dc_only, make_cutoff_profile
+from lplorentz.spectral import GridSpec, decompose, lowest_scale_for_dc_only
 
 INF = math.inf
-PROFILE = make_cutoff_profile(1.0)
 
 
 def canonical_params(r0=2.0, r1=2.0, r=None, q0=1.0, q1=INF):
@@ -77,13 +78,12 @@ class TestAtom:
         # Frozen from the exact polynomial profile at the default resolution.
         assert atom.l1_norm == pytest.approx(1.2152401337753265, rel=1e-12)
         assert atom.moments == 2
-        assert atom.grid_resolution == 4096
 
     def test_vanishing_moments_exact_polynomial(self):
         for moments in (1, 2, 3):
             atom = build_atom(moments)
-            cell = 2.0 / atom.grid_resolution
-            u = -1.0 + cell * (np.arange(atom.grid_resolution) + 0.5)
+            cell = 2.0 / sharpness._MIDPOINTS
+            u = -1.0 + cell * (np.arange(sharpness._MIDPOINTS) + 0.5)
             samples = atom.evaluate(u)
             for gamma in range(moments):
                 numeric = float(np.sum(u**gamma * samples) * cell)
@@ -102,14 +102,11 @@ class TestAtom:
         assert float(atom.rearrangement.values[0]) == pytest.approx(atom.sup_norm, rel=1e-12)
 
     def test_resolution_and_argument_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^moments must be >= 1$"):
             build_atom(0)
-        with pytest.raises(ValueError):
-            build_atom(2, smoothness_order=0)
-        with pytest.raises(ValueError):
-            build_atom(2, grid_resolution=64)
-        with pytest.raises(ValueError):
-            build_atom(10, smoothness_order=10, grid_resolution=256)
+        # 4096 midpoints resolve (1 - x**2)**M up to M = 256, so moments up to 254
+        with pytest.raises(ValueError, match=r"^moments must be at most 254, which 4096 midpoints resolve, got 255$"):
+            build_atom(255)
 
 
 class TestSolveExponents:
@@ -172,6 +169,16 @@ class TestParams:
         with pytest.raises(ValueError):
             build_params(2, 0.25, 0.25, 1.0, INF, 2.0, 2.0)
 
+    def test_is_a_case_with_its_checks(self):
+        params = canonical_params()
+        assert params == SharpnessParams(
+            0.25, 0.25, 1.0, INF, 2.0, 2.0, n=1, delta=params.delta, x_exp=params.x_exp, y_exp=params.y_exp
+        )
+        assert isinstance(params, CaseParams)
+        # theta rounds to 0, so 1/p = 1/q0 = 1: the case check rejects it
+        with pytest.raises(ValueError, match=r"^composed integrability 1/p=1\.0 leaves \(0, 1\)"):
+            build_params(1, 1e-300, 0.25, 1.0, INF, 2.0, 2.0)
+
 
 class TestScaleCounts:
     def test_exact_counts(self):
@@ -223,11 +230,6 @@ class TestFamilies:
         assert f_sum.placement == ((3, 6), (21, 24), (65, 68, 71)) == g_sum.placement
         assert verify_disjoint(f_sum)
         assert placement_extent(f_sum) == 10
-
-    def test_custom_first_scale(self):
-        params = build_params(1, 0.25, 0.25, 1.0, INF, 2.0, 2.0, j1=3)
-        f_sum, _ = build_closed_form_family(params, build_atom(2), 2)
-        assert f_sum.scales == (3, 4)
 
     def test_tampered_placement_detected(self):
         atom = build_atom(2)
@@ -444,7 +446,7 @@ class TestRasterizationOracle:
         for level in (1, 2, 3):
             f_sum, _ = build_family(params, atom, level)
             grid = rasterization_grid(f_sum, 4096)
-            d = decompose(rasterize(f_sum, grid), PROFILE, lowest_scale_for_dc_only(grid), 8)
+            d = decompose(rasterize(f_sum, grid), lowest_scale_for_dc_only(grid), 8)
             measured = besov_seminorm(d, space)
             bound = atomic_besov_upper(f_sum, space)
             assert 0.5 * bound <= measured <= 2.0 * bound

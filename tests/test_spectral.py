@@ -16,7 +16,8 @@ from lplorentz.spectral import (
     decompose,
     load_field,
     lowest_scale_for_dc_only,
-    make_cutoff_profile,
+    phi,
+    psi,
     reconstruct,
     save_field,
 )
@@ -79,34 +80,31 @@ class TestSampledField:
 
 class TestCutoffProfile:
     def test_plateau_and_support(self):
-        profile = make_cutoff_profile(1.0)
-        assert profile.phi(0.0) == 1.0
-        assert profile.phi(0.5) == 1.0
-        assert profile.phi(1.0) == 0.0
-        assert profile.phi(7.3) == 0.0
+        assert phi(0.0) == 1.0
+        assert phi(0.5) == 1.0
+        assert phi(1.0) == 0.0
+        assert phi(7.3) == 0.0
         # strictly interior transition samples (the glue saturates to exactly
         # 0 or 1 in floating point very close to the plateau edges)
         rho = np.linspace(0.6, 0.9, 61)
-        vals = profile.phi(rho)
+        vals = phi(rho)
         assert np.all(vals > 0.0) and np.all(vals < 1.0)
         assert np.all(np.diff(vals) < 0.0)
 
     def test_band_function_is_difference_of_plateaus(self):
-        profile = make_cutoff_profile(2.0)
         rho = np.linspace(0.0, 4.0, 401)
-        assert np.allclose(profile.psi(rho), profile.phi(rho / 2.0) - profile.phi(rho), atol=0.0)
+        assert np.allclose(psi(rho), phi(rho / 2.0) - phi(rho), atol=0.0)
         # vanishes outside (1/2, 2)
-        assert profile.psi(0.5) == 0.0
-        assert profile.psi(2.0) == 0.0
-        assert profile.psi(1.0) == 1.0
+        assert psi(0.5) == 0.0
+        assert psi(2.0) == 0.0
+        assert psi(1.0) == 1.0
 
     def test_telescoping_partition_is_exact(self):
-        profile = make_cutoff_profile(1.0)
         rho = np.geomspace(1e-3, 1e3, 500)
-        total = profile.phi(rho / 2.0**-3)
+        total = phi(rho / 2.0**-3)
         for j in range(-3, 9):
-            total = total + profile.psi(rho / 2.0**j)
-        assert np.allclose(total, profile.phi(rho / 2.0**9), atol=1e-15)
+            total = total + psi(rho / 2.0**j)
+        assert np.allclose(total, phi(rho / 2.0**9), atol=1e-15)
 
     @staticmethod
     def transition_band():
@@ -117,25 +115,23 @@ class TestCutoffProfile:
         rho = np.concatenate([np.linspace(0.5, 1.0, 20001), 0.5 + edge, 1.0 - edge])
         return rho[(rho > 0.5) & (rho < 1.0)]
 
-    @pytest.mark.parametrize("sharpness", [0.3, 1.0, 2.5])
-    def test_logistic_is_bit_equal_to_scipy_expit(self, sharpness):
+    def test_logistic_is_bit_equal_to_scipy_expit(self):
         expit = pytest.importorskip("scipy.special").expit
-        profile = make_cutoff_profile(sharpness)
         rho = self.transition_band()
         t = 2.0 * rho - 1.0
-        want = expit(sharpness * (1.0 / t - 1.0 / (1.0 - t)))
+        want = expit(1.0 / t - 1.0 / (1.0 - t))
         # both saturated ends are reached
         assert np.any(want == 0.0) and np.any(want == 1.0)
-        assert profile.phi(rho).tobytes() == want.tobytes()
+        assert phi(rho).tobytes() == want.tobytes()
         for r in (float(np.nextafter(0.5, 1.0)), 0.75, 0.999, float(np.nextafter(1.0, 0.0))):
-            got = profile.phi(r)
+            got = phi(r)
             assert type(got) is float
-            assert got == float(expit(sharpness * (1.0 / (2.0 * r - 1.0) - 1.0 / (2.0 - 2.0 * r))))
+            assert got == float(expit(1.0 / (2.0 * r - 1.0) - 1.0 / (2.0 - 2.0 * r)))
 
     @pytest.mark.parametrize(
         "rho, want",
         [
-            # phi at sharpness 1, recorded from scipy.special.expit; at each
+            # phi, recorded from scipy.special.expit; at each
             # radius 1 / (1 + np.exp(-z)) is one unit in the last place off
             ("0x1.31dp-1", "0x1.f5d194d462f42p-1"),
             ("0x1.901p-1", "0x1.8033b6fb36b98p-2"),
@@ -146,21 +142,18 @@ class TestCutoffProfile:
         ],
     )
     def test_logistic_keeps_the_libm_exp_bits(self, rho, want):
-        profile = make_cutoff_profile(1.0)
-        assert profile.phi(float.fromhex(rho)) == float.fromhex(want)
-        assert profile.phi(np.array([float.fromhex(rho)]))[0] == float.fromhex(want)
+        assert phi(float.fromhex(rho)) == float.fromhex(want)
+        assert phi(np.array([float.fromhex(rho)]))[0] == float.fromhex(want)
 
-    @pytest.mark.parametrize("sharpness", [0.3, 1.0, 2.5])
-    def test_overflow_end_is_exactly_zero_without_warning(self, sharpness):
-        profile = make_cutoff_profile(sharpness)
+    def test_overflow_end_is_exactly_zero_without_warning(self):
         rho = self.transition_band()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vals = profile.phi(rho)
-            at_one = profile.phi(np.nextafter(1.0, 0.0))
+            vals = phi(rho)
+            at_one = phi(np.nextafter(1.0, 0.0))
         assert at_one == 0.0
-        # exp(s/(1-t) - s/t) overflows once s/(1-t) passes ln(DBL_MAX) ~ 709.78
-        far = 1.0 - rho < sharpness / 1500.0
+        # exp(1/(1-t) - 1/t) overflows once 1/(1-t) passes ln(DBL_MAX) ~ 709.78
+        far = 1.0 - rho < 1.0 / 1500.0
         assert np.any(far) and np.all(vals[far] == 0.0)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
         order = np.argsort(rho)
@@ -194,19 +187,19 @@ class TestMultiplierStackDigests:
         ],
     )
     def test_stack_bytes_are_pinned(self, dim, points, period, j_min, j_max, digest):
-        stack = _multiplier_stack(GridSpec(dim, points, period), make_cutoff_profile(1.0), j_min, j_max)
+        stack = _multiplier_stack(GridSpec(dim, points, period), j_min, j_max)
         assert stack.shape == (j_max - j_min + 2, *(points,) * dim)
         assert hashlib.sha256(np.ascontiguousarray(stack, dtype="<f8").tobytes()).hexdigest() == digest
 
 
-def per_block_decomposition(f, profile, j_min, j_max):
+def per_block_decomposition(f, j_min, j_max):
     """Reference decomposition: one FFT, then a separate inverse FFT for the
     lowpass and for each block, keeping the real part."""
     mags = f.grid.frequency_magnitudes()
     spectrum = np.fft.fftn(f.as_array(), norm="ortho")
-    lowpass = np.fft.ifftn(profile.lowpass_multiplier(j_min, mags) * spectrum, norm="ortho").real
+    lowpass = np.fft.ifftn(phi(mags * 2.0 ** (-j_min)) * spectrum, norm="ortho").real
     blocks = [
-        np.fft.ifftn(profile.block_multiplier(j, mags) * spectrum, norm="ortho").real
+        np.fft.ifftn(psi(mags * 2.0 ** (-j)) * spectrum, norm="ortho").real
         for j in range(j_min, j_max + 1)
     ]
     return np.stack(blocks), lowpass
@@ -220,9 +213,8 @@ class TestDecomposition:
     def test_stacked_transform_matches_per_block_reference(self, grid, band_hi, j_max):
         rng = np.random.default_rng(13)
         f = random_band_limited_field(grid, 0.0, band_hi, rng)
-        profile = make_cutoff_profile(1.0)
-        d = decompose(f, profile, 0, j_max)
-        blocks, lowpass = per_block_decomposition(f, profile, 0, j_max)
+        d = decompose(f, 0, j_max)
+        blocks, lowpass = per_block_decomposition(f, 0, j_max)
         shape = (grid.points_per_axis,) * grid.dim
         assert d.blocks.shape == (j_max + 1, *shape) and d.lowpass.shape == shape
         assert np.array_equal(d.scales, np.arange(0, j_max + 1))
@@ -241,7 +233,7 @@ class TestDecomposition:
         grid = GridSpec(1, 2048, TWO_PI)
         rng = np.random.default_rng(7)
         f = random_band_limited_field(grid, 1.0, 250.0, rng)
-        d = decompose(f, make_cutoff_profile(1.0), 0, 8)
+        d = decompose(f, 0, 8)
         err = np.max(np.abs(reconstruct(d).samples - f.samples))
         assert err <= 1e-12 * np.max(np.abs(f.samples))
 
@@ -249,7 +241,7 @@ class TestDecomposition:
         grid = GridSpec(2, 64, TWO_PI)
         rng = np.random.default_rng(3)
         f = random_band_limited_field(grid, 1.0, 15.9, rng)
-        d = decompose(f, make_cutoff_profile(1.0), 0, 4)
+        d = decompose(f, 0, 4)
         err = np.max(np.abs(reconstruct(d).samples - f.samples))
         assert err <= 1e-12 * np.max(np.abs(f.samples))
 
@@ -257,7 +249,7 @@ class TestDecomposition:
         grid = GridSpec(1, 1024, TWO_PI)
         x = grid.axis_coordinates()
         f = SampledField(grid, np.cos(16.0 * x))
-        d = decompose(f, make_cutoff_profile(1.0), 0, 8)
+        d = decompose(f, 0, 8)
         energies = {j: float(np.sum(b**2)) for j, b in zip(range(d.j_min, d.j_max + 1), d.blocks)}
         # frequency 16 = 2**4 sits exactly at the peak of block 4
         assert energies[4] == pytest.approx(np.sum(f.samples**2), rel=1e-12)
@@ -269,7 +261,7 @@ class TestDecomposition:
         grid = GridSpec(1, 1024, TWO_PI)
         rng = np.random.default_rng(11)
         f = random_band_limited_field(grid, 1.0, 200.0, rng)
-        d = decompose(f, make_cutoff_profile(1.0), 0, 8)
+        d = decompose(f, 0, 8)
         mags = grid.frequency_magnitudes()
         for j, block in zip(range(d.j_min, d.j_max + 1), d.blocks):
             spectrum = np.fft.fftn(block, norm="ortho")
@@ -282,13 +274,13 @@ class TestDecomposition:
         assert j_min == 0
         x = grid.axis_coordinates()
         f = SampledField(grid, np.sin(3.0 * x) + 0.25 * np.cos(7.0 * x))
-        d = decompose(f, make_cutoff_profile(1.0), j_min, 7)
+        d = decompose(f, j_min, 7)
         assert np.max(np.abs(d.lowpass)) <= 1e-14
 
     def test_lowpass_is_exact_mean_for_constant(self):
         grid = GridSpec(1, 256, TWO_PI)
         f = SampledField(grid, np.full(256, 2.5))
-        d = decompose(f, make_cutoff_profile(1.0), 0, 6)
+        d = decompose(f, 0, 6)
         assert np.allclose(d.lowpass, 2.5, atol=1e-13)
         for block in d.blocks:
             assert np.max(np.abs(block)) <= 1e-13
@@ -296,12 +288,11 @@ class TestDecomposition:
     def test_scale_range_validation(self):
         grid = GridSpec(1, 256, TWO_PI)
         f = SampledField(grid, np.zeros(256))
-        profile = make_cutoff_profile(1.0)
         with pytest.raises(ValueError):
-            decompose(f, profile, 4, 4)
+            decompose(f, 4, 4)
         with pytest.raises(ValueError):
             # 2**(j_max+1) beyond the representable frequencies
-            decompose(f, profile, 0, 8)
+            decompose(f, 0, 8)
 
     def test_dc_only_scale_for_non_unit_period(self):
         grid = GridSpec(1, 4096, 16.0)
@@ -309,7 +300,7 @@ class TestDecomposition:
         assert j_min == -2
         x = grid.axis_coordinates()
         f = SampledField(grid, np.sin(2.0 * math.pi * x / 16.0))
-        d = decompose(f, make_cutoff_profile(1.0), j_min, 8)
+        d = decompose(f, j_min, 8)
         assert np.max(np.abs(d.lowpass)) <= 1e-14
 
 
