@@ -29,7 +29,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .inequalities import GENERATORS, CaseParams, run_suite
-from .interpolation import run_interp_suite
+from .interpolation import CHECKS, run_interp_suite
 from .norms import (
     BesovParams,
     LorentzParams,
@@ -270,11 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     interp = subparsers.add_parser("interp", help="interpolation and rearrangement check suites")
-    interp.add_argument(
-        "--check",
-        choices=("k-equivalence", "layer-cake", "partition", "duality", "reiteration"),
-        required=True,
-    )
+    interp.add_argument("--check", choices=CHECKS, required=True)
     interp.add_argument("--p", type=float, default=2.0)
     interp.add_argument("--r", type=float, default=2.0)
     interp.add_argument("--q0", type=float, default=1.0)

@@ -17,6 +17,7 @@ the segment of valid dual positions.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,6 +365,24 @@ def generate_field(generator: str, rng: np.random.Generator, grid: GridSpec) -> 
 # Suite runner
 # ---------------------------------------------------------------------------
 
+# one instance of a suite: draws its inputs from the generator, returns ``(lhs, rhs)``
+_Instance = Callable[[np.random.Generator], tuple[float, float]]
+
+
+def _ratio(lhs: float, rhs: float) -> float:
+    """``lhs / rhs`` with ``0 / 0 = 0``; a zero ``rhs`` under a positive ``lhs``
+    falsifies the bound and raises ``ArithmeticError``."""
+    if rhs == 0.0 < lhs:
+        raise ArithmeticError(f"zero right side with positive left side {lhs!r}")
+    return 0.0 if rhs == 0.0 else lhs / rhs
+
+
+def _suite_records(instance: _Instance, rngs: Iterable[np.random.Generator]) -> list[dict]:
+    """Records ``{instance_id, lhs, rhs, ratio}`` of one call of ``instance``
+    per generator in ``rngs``: the one record loop of ``verify`` and ``interp``."""
+    sides = (instance(rng) for rng in rngs)
+    return [{"instance_id": i, "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)} for i, (lhs, rhs) in enumerate(sides)]
+
 
 def run_suite(
     case: CaseParams,
@@ -385,17 +404,11 @@ def run_suite(
         raise ValueError("count must be >= 1")
     grid = make_suite_grid(grid_points, generator)
     j_min, j_max = _suite_scale_range(generator, grid)
-    children = np.random.SeedSequence(seed).spawn(count)
 
-    records = []
-    for instance_id, child in enumerate(children):
-        field = generate_field(generator, np.random.default_rng(child), grid)
-        lhs, rhs = verify_case(case, decompose(field, j_min, j_max))
-        records.append({
-            "instance_id": instance_id,
-            "lhs": lhs,
-            "rhs": rhs,
-            "ratio": 0.0 if rhs == 0.0 else lhs / rhs,
-            "generator_descriptor": f"{generator}[instance={instance_id}, seed={seed}, grid={grid_points}]",
-        })
+    def instance(rng: np.random.Generator) -> tuple[float, float]:
+        return verify_case(case, decompose(generate_field(generator, rng, grid), j_min, j_max))
+
+    records = _suite_records(instance, map(np.random.default_rng, np.random.SeedSequence(seed).spawn(count)))
+    for rec in records:
+        rec["generator_descriptor"] = f"{generator}[instance={rec['instance_id']}, seed={seed}, grid={grid_points}]"
     return records

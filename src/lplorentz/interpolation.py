@@ -18,11 +18,11 @@ panels of all pieces are laid out and evaluated as one array.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .inequalities import _Instance, _ratio, _suite_records
 from .norms import (
     LorentzParams,
     MeasuredValues,
@@ -30,6 +30,7 @@ from .norms import (
     _as_lorentz_params,
     _check_exponent,
     _compose,
+    _grid_lp,
     _inv,
     _power_sum_log2,
     conjugate_exponent,
@@ -39,6 +40,7 @@ from .norms import (
 )
 
 __all__ = [
+    "CHECKS",
     "InterpParams",
     "JDecomposition",
     "PartitionResult",
@@ -61,10 +63,6 @@ __all__ = [
 _INF = math.inf
 
 _LN2 = math.log(2.0)
-
-# one instance of a check suite: draws its inputs from the generator and
-# returns ``(lhs, rhs)``
-_Instance = Callable[[np.random.Generator], tuple[float, float]]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -367,12 +365,7 @@ def _layer_cake_sides(v: MeasuredValues, params: LorentzParams) -> tuple[float, 
 def layer_cake_bound_ratio(v: MeasuredValues, params) -> float:
     """Ratio ``(P + Q) / (C0 * lorentz_norm(v, params))`` for the layer-cake
     decomposition of ``v``; at most 1 for every input."""
-    lhs, rhs = _layer_cake_sides(v, _as_lorentz_params(params))
-    if rhs == 0.0:
-        if lhs > 0.0:
-            raise ArithmeticError("zero norm with nonzero decomposition sums")
-        return 0.0
-    return lhs / rhs
+    return _ratio(*_layer_cake_sides(v, _as_lorentz_params(params)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +471,11 @@ def ell_partition(lam, q0: float, q1: float, r0: float) -> PartitionResult:
     eta = (_inv(q0) - _inv(r0)) * sigma
     ks, blocks = _threshold_blocks(mv.values, rearrangement(mv), 2.0**sigma)
     block_vals = np.where(blocks, mv.values, 0.0)
-    beta = 2.0 ** (-ks * eta) * np.sum(block_vals**q0, axis=1) ** (1.0 / q0)
-    if q1 == _INF:
-        gamma = 2.0 ** (ks * (1.0 - eta)) * block_vals.max(axis=1)
-    else:
-        gamma = 2.0 ** (ks * (1.0 - eta)) * np.sum(block_vals**q1, axis=1) ** (1.0 / q1)
-    lhs = float(np.sum(beta**r0) ** (1.0 / r0) + np.sum(gamma**r0) ** (1.0 / r0))
+    beta = 2.0 ** (-ks * eta) * _grid_lp(block_vals, q0, 1.0, axis=1)
+    gamma = 2.0 ** (ks * (1.0 - eta)) * _grid_lp(block_vals, q1, 1.0, axis=1)
+    lhs = float(_grid_lp(beta, r0, 1.0) + _grid_lp(gamma, r0, 1.0))
     bound = _partition_constant(q0, q1, r0, sigma) * lebesgue_norm(mv, r0)
-    ratio = 0.0 if bound == 0.0 else lhs / bound
-    return PartitionResult(ks, blocks, eta, sigma, beta, gamma, lhs, bound, ratio)
+    return PartitionResult(ks, blocks, eta, sigma, beta, gamma, lhs, bound, _ratio(lhs, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +520,7 @@ def reiteration_check(
     the ratios must stay within fixed positive bounds for the reiteration
     identity to hold numerically.
     """
-    return _suite_records(_reiteration_instance(p0, r0, p1, r1, theta, r), suite_size, seed)
+    return _suite_records(_reiteration_instance(p0, r0, p1, r1, theta, r), _draws(suite_size, seed))
 
 
 def _reiteration_instance(
@@ -594,17 +583,12 @@ def _random_step_values(rng: np.random.Generator) -> MeasuredValues:
     return MeasuredValues(values, rng.uniform(0.1, 4.0, values.size))
 
 
-def _suite_records(instance: _Instance, suite_size: int, seed: int) -> list[dict]:
-    """Records ``{instance_id, lhs, rhs, ratio}`` of ``suite_size`` draws of
-    ``instance`` from one generator seeded by ``seed``."""
+def _draws(suite_size: int, seed: int) -> list[np.random.Generator]:
+    """One generator seeded by ``seed``, listed ``suite_size >= 1`` times: the
+    instances of a check suite draw from it in turn."""
     if suite_size < 1:
         raise ValueError("suite_size must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    records: list[dict] = []
-    for instance_id in range(suite_size):
-        lhs, rhs = instance(rng)
-        records.append({"instance_id": instance_id, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs})
-    return records
+    return [np.random.default_rng(np.random.SeedSequence(seed))] * suite_size
 
 
 def _k_equivalence_instance(p, r, q0, q1, theta) -> _Instance:
@@ -655,12 +639,12 @@ def _reiteration_suite_instance(p, r, q0, q1, theta) -> _Instance:
 
 
 # check name -> builder of its per-instance function, called once per suite
-# with the keyword options of :func:`run_interp_suite`
-_CHECKS = {
+# with the keyword options of :func:`run_interp_suite`, in ``interp --check`` order
+CHECKS = {
     "k-equivalence": _k_equivalence_instance,
     "layer-cake": _layer_cake_instance,
-    "duality": _duality_instance,
     "partition": _partition_instance,
+    "duality": _duality_instance,
     "reiteration": _reiteration_suite_instance,
 }
 
@@ -693,7 +677,7 @@ def run_interp_suite(
       pinned to the endpoint spaces (``r0 = 1`` when ``p0 = 1``, ``r1 = inf``
       when ``p1 = inf``, else ``r``); composed target ratio per instance.
     """
-    if check not in _CHECKS:
+    if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
-    instance = _CHECKS[check](p=p, r=r, q0=q0, q1=q1, theta=theta)
-    return _suite_records(instance, suite_size, seed)
+    instance = CHECKS[check](p=p, r=r, q0=q0, q1=q1, theta=theta)
+    return _suite_records(instance, _draws(suite_size, seed))

@@ -323,7 +323,9 @@ def lebesgue_norm(v: MeasuredValues, p: float) -> float:
 
 
 def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None):
-    """Grid ``L^p`` norm of the nonnegative array ``a``, reduced over ``axis``."""
+    """Grid ``L^p`` norm of the nonnegative array ``a``, reduced over ``axis``;
+    with ``cell_volume = 1`` it is the ``l^p`` norm of every block and sequence
+    sum."""
     if p == _INF:
         return a.max(axis=axis, initial=0.0)
     return (np.sum(a**p, axis=axis) * cell_volume) ** (1.0 / p)
@@ -344,9 +346,7 @@ def besov_seminorm(d: BlockDecomposition, params) -> float:
     params = _as_besov_params(params)
     rows = np.abs(d.blocks.reshape(d.blocks.shape[0], -1))
     weighted = 2.0 ** (d.scales * params.s) * _grid_lp(rows, params.p, d.grid.cell_volume, axis=1)
-    if params.q == _INF:
-        return float(weighted.max(initial=0.0))
-    return float(np.sum(weighted**params.q) ** (1.0 / params.q))
+    return float(_grid_lp(weighted, params.q, 1.0))
 
 
 def triebel_seminorm(d: BlockDecomposition, params) -> float:
@@ -359,8 +359,5 @@ def triebel_seminorm(d: BlockDecomposition, params) -> float:
     params = _as_besov_params(params)
     rows = np.abs(d.blocks.reshape(d.blocks.shape[0], -1))
     weighted = rows * 2.0 ** (d.scales * params.s)[:, None]
-    if params.q == _INF:
-        envelope = weighted.max(axis=0, initial=0.0)
-    else:
-        envelope = np.sum(weighted**params.q, axis=0) ** (1.0 / params.q)
+    envelope = _grid_lp(weighted, params.q, 1.0, axis=0)
     return float(_grid_lp(envelope, params.p, d.grid.cell_volume))

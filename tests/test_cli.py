@@ -18,6 +18,7 @@ import pytest
 
 import lplorentz
 from lplorentz.cli import emit_report, main
+from lplorentz.interpolation import CHECKS
 from lplorentz.norms import LorentzParams, MeasuredValues, lorentz_norm
 from lplorentz.spectral import GridSpec, SampledField, save_field
 
@@ -320,6 +321,9 @@ class TestInterpCommand:
     def test_unknown_check_exits_2(self, capsys):
         assert main(["interp", "--check", "fourier-phase"]) == 2
         capsys.readouterr()
+
+    def test_check_choices_keep_their_order(self):
+        assert tuple(CHECKS) == ("k-equivalence", "layer-cake", "partition", "duality", "reiteration")
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -409,6 +409,21 @@ class TestSuiteRunner:
             (r["instance_id"], r["lhs"], r["rhs"], r["ratio"]) for r in long[:3]
         ]
 
+    def test_ratio_rule(self):
+        assert inequalities._ratio(1.0, 4.0) == 0.25
+        assert inequalities._ratio(0.0, 0.0) == 0.0
+        # a positive left side over a zero right side falsifies the bound
+        with pytest.raises(ArithmeticError, match=r"^zero right side with positive left side 1e-300$"):
+            inequalities._ratio(1e-300, 0.0)
+
+    def test_runner_calls_the_instance_once_per_generator(self):
+        rngs = [np.random.default_rng(seed) for seed in (4, 5, 4)]
+        records = inequalities._suite_records(lambda rng: (rng.random(), 2.0), rngs)
+        draws = [np.random.default_rng(seed).random() for seed in (4, 5, 4)]
+        assert records == [
+            {"instance_id": i, "lhs": draw, "rhs": 2.0, "ratio": draw / 2.0} for i, draw in enumerate(draws)
+        ]
+
     def test_empty_suite(self):
         with pytest.raises(ValueError, match="count must be >= 1"):
             run_suite(canonical_case(), "single-block", 0, seed=0, grid_points=1024)
