@@ -99,13 +99,18 @@ def emit_report(records, columns, header, summary=None, fmt: str = "csv", path=N
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r}")
+    _write(text, path)
+
+
+def _write(text: str, path) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when ``path`` is None."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        try:
-            Path(path).write_text(text)
-        except OSError as exc:
-            raise RuntimeError(f"cannot write report to {path!r}: {exc}") from exc
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write report to {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +215,7 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
         "expected": {k: _jsonable(v) for k, v in result.expected.items()},
     }
     text = json.dumps(slopes_payload, sort_keys=True, indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).with_suffix(".slopes.json").write_text(text)
+    _write(text, None if args.out is None else str(Path(args.out).with_suffix(".slopes.json")))
     return 0
 
 

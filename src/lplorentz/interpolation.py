@@ -7,7 +7,12 @@ layer-cake decomposition realizing that bound, a duality pairing check, a
 rank-threshold partition of sequences, and an empirical reiteration check.
 
 The layer cake and the partition share one rank-block kernel and hold their
-blocks as ``(K,)`` and ``(K, n)`` arrays; every check suite returns records.
+blocks as ``(K,)`` and ``(K, n)`` arrays; their ``l^q`` block sums are the
+grid norm of :mod:`lplorentz.norms` at unit cell volume.  Each check suite in
+:data:`CHECKS` is an ``(lhs, rhs)`` function of a random generator, turned
+into records by the one runner of :mod:`lplorentz.inequalities` that
+``verify`` uses too, whose ratio rule also gives :func:`layer_cake_bound_ratio`
+and the ratio of :func:`ell_partition`.
 
 All integrals over step profiles are closed-form except the middle pieces of
 :func:`interpolation_norm_K`, which are analytic in the integration variable
@@ -159,6 +164,8 @@ def k_functional_L1_Linf(v, t: float) -> float:
     return float(prefix[idx] + values[idx] * (tt - prev[idx]))
 
 
+# an overflow surfaces as a non-finite integral, reported without numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def interpolation_norm_K(v, params: InterpParams) -> float:
     """``( integral_0^inf (t**(-theta) K(t))**r dt/t )**(1/r)``.
 

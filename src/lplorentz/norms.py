@@ -325,10 +325,15 @@ def lebesgue_norm(v: MeasuredValues, p: float) -> float:
 def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None):
     """Grid ``L^p`` norm of the nonnegative array ``a``, reduced over ``axis``;
     with ``cell_volume = 1`` it is the ``l^p`` norm of every block and sequence
-    sum."""
+    sum.  A norm that leaves the float range raises ``ArithmeticError``."""
     if p == _INF:
         return a.max(axis=axis, initial=0.0)
-    return (np.sum(a**p, axis=axis) * cell_volume) ** (1.0 / p)
+    # an overflow surfaces as a non-finite norm, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = (np.sum(a**p, axis=axis) * cell_volume) ** (1.0 / p)
+    if not np.isfinite(norm).all():
+        raise ArithmeticError(f"l^{p:g} sum diverged: a power left the float range")
+    return norm
 
 
 def _as_besov_params(params) -> BesovParams:
@@ -341,7 +346,8 @@ def besov_seminorm(d: BlockDecomposition, params) -> float:
     """``( sum_j (2**(j*s) * ||block_j||_{L^p})**q )**(1/q)`` over available blocks.
 
     ``q = inf`` takes the supremum over scales.  The lowpass field does not
-    contribute, so constant fields have seminorm zero.
+    contribute, so constant fields have seminorm zero.  A sum that leaves the
+    float range raises ``ArithmeticError``, here and in :func:`triebel_seminorm`.
     """
     params = _as_besov_params(params)
     rows = np.abs(d.blocks.reshape(d.blocks.shape[0], -1))

@@ -77,11 +77,13 @@ __all__ = [
 _INF = math.inf
 
 # Every atom is the ``moments``-th derivative of ``(1 - x**2)**M`` with
-# ``M = moments + 2``, sampled at 4096 midpoints of ``[-1, 1]``; resolving it
-# takes 16 midpoints per unit of ``M``, so ``moments`` is at most 254.
+# ``M = moments + 2``, sampled at 4096 midpoints of ``[-1, 1]``.  Its
+# power-basis coefficients grow like binomials, so from 17 moments on float64
+# rounding leaves a moment above the 1e-10 check (from 24 on the expansion
+# fails outright), long before the midpoints stop resolving the atom.
 _SMOOTHNESS_ORDER = 2
 _MIDPOINTS = 4096
-_MAX_MOMENTS = _MIDPOINTS // 16 - _SMOOTHNESS_ORDER
+_MAX_MOMENTS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +144,8 @@ def build_atom(moments: int) -> Atom:
         raise ValueError("moments must be >= 1")
     if moments > _MAX_MOMENTS:
         raise ValueError(
-            f"moments must be at most {_MAX_MOMENTS}, which {_MIDPOINTS} midpoints resolve, got {moments}"
+            f"moments must be at most {_MAX_MOMENTS}, the largest order whose moments vanish in float64, "
+            f"got {moments}"
         )
     order = moments + _SMOOTHNESS_ORDER
     bump = Polynomial([1.0, 0.0, -1.0]) ** order

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,21 @@ class TestNormCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("space, p, q", [("besov", "300", "2"), ("triebel", "2", "300")])
+    def test_overflowing_sum_is_runtime_failure(self, space, p, q, tmp_path, capsys):
+        # 50**300 leaves the float range; the norm used to print as Infinity,
+        # which is not JSON
+        grid = GridSpec(1, 1024, 2.0 * math.pi)
+        path = tmp_path / "loud.json"
+        save_field(SampledField(grid, 50.0 * np.cos(4.0 * grid.axis_coordinates())), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["norm", "--space", space, "--input", str(path), "--s", "0.5", "--p", p, "--q", q])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "failure: l^300 sum diverged: a power left the float range\n"
+
 
 class TestVerifyCommand:
     ARGS = [
@@ -268,6 +284,19 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == f"error: --grid must be a power of two >= 8, got {grid}\n"
 
+    def test_overflowing_seminorm_is_runtime_failure(self, capsys):
+        # q0 = 300 overflows the inner block sums: an infinite right side
+        # used to read as ratio 0, a false pass of the inequality
+        args = list(self.ARGS)
+        args[args.index("--q0") + 1] = "300"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "failure: l^300 sum diverged: a power left the float range\n"
+
     def test_runtime_never_imports_scipy(self, tmp_path):
         # The cutoff's logistic takes libm exp through math.exp, so a whole
         # verify op runs on numpy alone.
@@ -324,6 +353,15 @@ class TestInterpCommand:
 
     def test_check_choices_keep_their_order(self):
         assert tuple(CHECKS) == ("k-equivalence", "layer-cake", "partition", "duality", "reiteration")
+
+    def test_diverged_k_norm_prints_only_the_failure_line(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["interp", "--check", "k-equivalence", "--r", "600", "--suite-size", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "failure: interpolation integral diverged on this profile\n"
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -443,7 +481,28 @@ class TestSharpnessCommand:
         assert main(self.CANONICAL + ["--moments", "400"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: moments must be at most 254, which 4096 midpoints resolve, got 400\n"
+        assert captured.err == (
+            "error: moments must be at most 16, the largest order whose moments vanish in float64, got 400\n"
+        )
+
+    @pytest.mark.parametrize("moments", ["17", "150"])
+    def test_moments_past_the_float64_limit_exit_2(self, moments, capsys):
+        # 17 used to fail the moment check (exit 1) and 150 numpy's power cap
+        assert main(self.CANONICAL + ["--moments", moments]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: moments must be at most 16, the largest order whose moments vanish in float64, got {moments}\n"
+        )
+
+    def test_unwritable_slopes_companion_names_its_path(self, tmp_path, capsys):
+        companion = tmp_path / "x.slopes.json"
+        companion.mkdir()
+        assert main(self.CANONICAL + ["--out", str(tmp_path / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(companion)!r}"
+        assert captured.err == f"failure: cannot write report to {str(companion)!r}: {reason}\n"
 
     @pytest.mark.parametrize(
         "flags, shown",

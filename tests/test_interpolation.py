@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,13 @@ class TestKFunctional:
 
 
 class TestInterpolationNormK:
+    def test_overflow_raises_without_runtime_warning(self):
+        v = MeasuredValues(np.array([40.0, 3.0]), np.array([1.0, 2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="diverged"):
+                interpolation_norm_K(v, InterpParams(0.5, 600.0))
+
     def test_indicator_closed_form(self):
         for theta in (0.25, 0.5, 0.8):
             for r in (1.0, 2.0, 4.0):

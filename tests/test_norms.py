@@ -436,3 +436,19 @@ class TestBlockSpaceSeminorms:
         d = decompose(SampledField(grid, np.zeros(256)), 0, 6)
         assert besov_seminorm(d, BesovParams(0.5, 2.0, 2.0)) == 0.0
         assert triebel_seminorm(d, BesovParams(0.5, 2.0, 2.0)) == 0.0
+
+    @pytest.mark.parametrize(
+        "seminorm, params",
+        [(besov_seminorm, (0.5, 300.0, 2.0)), (besov_seminorm, (0.5, 2.0, 300.0)),
+         (triebel_seminorm, (0.5, 300.0, 2.0)), (triebel_seminorm, (0.5, 2.0, 300.0))],
+        ids=["besov-inner", "besov-outer", "triebel-outer", "triebel-envelope"],
+    )
+    def test_overflow_raises_without_runtime_warning(self, seminorm, params):
+        # 1000 * cos(16x) has block sums near 1e3 and weighted ones near 7e3,
+        # whose 300th powers leave the float range
+        grid = GridSpec(1, 1024, TWO_PI)
+        loud = decompose(SampledField(grid, 1e3 * np.cos(16.0 * grid.axis_coordinates())), 0, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=r"^l\^300 sum diverged"):
+                seminorm(loud, BesovParams(*params))

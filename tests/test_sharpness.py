@@ -104,9 +104,14 @@ class TestAtom:
     def test_resolution_and_argument_validation(self):
         with pytest.raises(ValueError, match=r"^moments must be >= 1$"):
             build_atom(0)
-        # 4096 midpoints resolve (1 - x**2)**M up to M = 256, so moments up to 254
-        with pytest.raises(ValueError, match=r"^moments must be at most 254, which 4096 midpoints resolve, got 255$"):
+        # from 17 moments on, float64 rounding breaks the vanishing moments
+        with pytest.raises(
+            ValueError, match=r"^moments must be at most 16, the largest order whose moments vanish in float64, got 255$"
+        ):
             build_atom(255)
+
+    def test_largest_admitted_order_keeps_its_moments(self):
+        assert build_atom(16).moments == 16
 
 
 class TestSolveExponents:
