@@ -54,6 +54,14 @@ REPORTS = {
         f"interp-{check}-json": ["interp", "--check", check, "--format", "json", "--suite-size", "40"]
         for check in ("duality", "partition", "reiteration")
     },
+    # Lorentz endpoints and a partition at q0 = 1.5, q1 = 6
+    "interp-reiteration-lorentz": [
+        "interp", "--check", "reiteration", "--q0", "1.5", "--q1", "6", "--r", "2.5", "--theta", "0.7",
+        "--suite-size", "40",
+    ],
+    "interp-partition-q": [
+        "interp", "--check", "partition", "--q0", "1.5", "--q1", "6", "--r", "2.5", "--suite-size", "40",
+    ],
     "sharpness-composed": ["sharpness", *_README_CASE, "--r0", "2", "--r1", "2", "--Lmax", "128"],
     "sharpness-merge": [
         "sharpness", *_README_CASE, "--r0", "4", "--r1", "4", "--Lmin", "128", "--Lmax", "1024",

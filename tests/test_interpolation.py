@@ -546,6 +546,12 @@ class TestReiteration:
         with pytest.raises(ValueError):
             reiteration_check(1.0, 1.0, 1.0, 1.0, 0.5, 1.0, suite_size=4, seed=0)
 
+    def test_endpoints_at_p_one_or_inf_must_be_lebesgue(self):
+        with pytest.raises(ValueError, match=r"^endpoint with p=1 is supported only as L1 \(r=1\)$"):
+            reiteration_check(1.0, 2.0, INF, INF, 0.5, 2.0, suite_size=4, seed=0)
+        with pytest.raises(ValueError, match=r"^endpoint with p=inf is supported only as Linf \(r=inf\)$"):
+            reiteration_check(1.0, 1.0, INF, 2.0, 0.5, 2.0, suite_size=4, seed=0)
+
 
 class TestThresholdIndex:
     @pytest.mark.parametrize("base", THRESHOLD_BASES)
