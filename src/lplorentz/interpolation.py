@@ -8,11 +8,13 @@ rank-threshold partition of sequences, and an empirical reiteration check.
 
 The layer cake and the partition share one rank-block kernel and hold their
 blocks as ``(K,)`` and ``(K, n)`` arrays; their ``l^q`` block sums are the
-grid norm of :mod:`lplorentz.norms` at unit cell volume.  Each check suite in
+grid norm of :mod:`lplorentz.norms` at unit cell volume.  One kernel
+measures the pieces of every J-decomposition in endpoint spaces ``L^{p,r}``
+named by exponent pairs ``(p, r)``.  Each check suite in
 :data:`CHECKS` is an ``(lhs, rhs)`` function of a random generator, turned
 into records by the one runner of :mod:`lplorentz.inequalities` that
-``verify`` uses too, whose ratio rule also gives :func:`layer_cake_bound_ratio`
-and the ratio of :func:`ell_partition`.
+``verify`` uses too, whose ratio rule also gives :func:`layer_cake_bound_ratio`,
+:func:`duality_pairing_check` and the ratio of :func:`ell_partition`.
 
 All integrals over step profiles are closed-form except the middle pieces of
 :func:`interpolation_norm_K`, which are analytic in the integration variable
@@ -23,7 +25,7 @@ panels of all pieces are laid out and evaluated as one array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from .norms import (
     _inv,
     _power_sum_log2,
     conjugate_exponent,
-    lebesgue_norm,
     lorentz_norm,
     rearrangement,
 )
@@ -68,6 +69,9 @@ __all__ = [
 _INF = math.inf
 
 _LN2 = math.log(2.0)
+
+# endpoint exponent pairs (p, r) of the couple (L1, Linf)
+_L1_LINF = ((1.0, 1.0), (_INF, _INF))
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -106,10 +110,10 @@ class JDecomposition:
     ``pieces`` has shape ``(K, n)``: row ``k`` holds the values of piece
     ``k``, at scale ``scales[k]``, on the ``n`` entries whose masses are
     ``masses``.  ``norms0[k]`` and ``norms1[k]`` are the norms of piece ``k``
-    in the two endpoint spaces of the couple under consideration (L1 and
-    Linf for the layer-cake construction; any other pair for reiteration
-    experiments).  The product bound of :func:`j_bound` is invariant under a
-    common integer shift of ``scales``.
+    in the endpoint spaces ``L^{p0,r0}`` and ``L^{p1,r1}`` named by exponent
+    pairs (L1 and Linf for the layer-cake check; Lorentz endpoints for
+    reiteration experiments).  The product bound of :func:`j_bound` is
+    invariant under a common integer shift of ``scales``.
     """
 
     scales: np.ndarray
@@ -132,12 +136,28 @@ class JDecomposition:
         return MeasuredValues(self.pieces.sum(axis=0), self.masses)
 
 
-def trivial_decomposition(v: MeasuredValues, norm0, norm1) -> JDecomposition:
-    """Single-piece decomposition of ``v`` at scale 0 with the given endpoint norm functions."""
-    return JDecomposition(
-        np.zeros(1, dtype=np.int64), v.values[None, :], v.masses,
-        np.array([float(norm0(v))]), np.array([float(norm1(v))]),
-    )
+def trivial_decomposition(v: MeasuredValues, end0, end1) -> JDecomposition:
+    """Single-piece decomposition of ``v`` at scale 0, measured in the endpoint
+    spaces ``L^{p,r}`` named by the exponent pairs ``end0`` and ``end1``."""
+    pieces = v.values[None, :]
+    return JDecomposition(np.zeros(1, dtype=np.int64), pieces, v.masses,
+                          _piece_norms(pieces, v.masses, *end0), _piece_norms(pieces, v.masses, *end1))
+
+
+def _piece_norms(pieces: np.ndarray, masses: np.ndarray, p: float, r: float) -> np.ndarray:
+    """``L^{p,r}`` norm of each row of the nonnegative ``(K, n)`` array
+    ``pieces`` on the masses ``masses``: the L1 norm for ``p = 1``, the Linf
+    norm for ``p = inf`` and :func:`lorentz_norm` otherwise."""
+    if p == 1.0:
+        if r != 1.0:
+            raise ValueError("endpoint with p=1 is supported only as L1 (r=1)")
+        return np.sum(pieces * masses, axis=1)
+    if p == _INF:
+        if r != _INF:
+            raise ValueError("endpoint with p=inf is supported only as Linf (r=inf)")
+        return pieces.max(axis=1, initial=0.0)
+    params = LorentzParams(p, r)
+    return np.array([lorentz_norm(MeasuredValues(row, masses), params) for row in pieces])
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +356,16 @@ def layer_cake_decompose(v: MeasuredValues) -> JDecomposition:
     their support), in increasing scale order, so they recombine entrywise
     to ``v`` exactly.  A ``v`` without positive values has no pieces.
     """
-    return _layer_cake(v, rearrangement(v))
+    return _layer_cake(v, rearrangement(v), *_L1_LINF)
 
 
-def _layer_cake(v: MeasuredValues, prof: RearrangementProfile) -> JDecomposition:
-    """:func:`layer_cake_decompose` of ``v``, whose rearrangement is ``prof``."""
+def _layer_cake(v: MeasuredValues, prof: RearrangementProfile, end0, end1) -> JDecomposition:
+    """Layer-cake pieces of ``v``, whose rearrangement is ``prof``, measured in
+    the endpoint spaces named by the exponent pairs ``end0`` and ``end1``."""
     ks, mask = _threshold_blocks(v.values, prof, 2.0)
     pieces = np.where(mask, v.values, 0.0)
-    return JDecomposition(ks, pieces, v.masses, np.sum(pieces * v.masses, axis=1),
-                          pieces.max(axis=1, initial=0.0))
+    return JDecomposition(ks, pieces, v.masses, _piece_norms(pieces, v.masses, *end0),
+                          _piece_norms(pieces, v.masses, *end1))
 
 
 def layer_cake_constant(p: float, r: float) -> float:
@@ -365,7 +386,7 @@ def _layer_cake_sides(v: MeasuredValues, params: LorentzParams) -> tuple[float, 
     """``(P + Q, C0 * lorentz_norm(v, params))`` for the layer-cake decomposition of ``v``."""
     interp = InterpParams(1.0 - 1.0 / params.p, params.r, 2.0)
     prof = rearrangement(v)
-    p_sum, q_sum = j_sum_functional(_layer_cake(v, prof), interp)
+    p_sum, q_sum = j_sum_functional(_layer_cake(v, prof, *_L1_LINF), interp)
     return p_sum + q_sum, layer_cake_constant(params.p, params.r) * lorentz_norm(prof, params)
 
 
@@ -388,10 +409,7 @@ def duality_pairing_check(f: MeasuredValues, g: MeasuredValues, p: float, r: flo
     ``1/p + 1/p' = 1`` and ``1/r + 1/r' = 1``."""
     if not f.aligned_with(g):
         raise ValueError("f and g must be aligned entrywise on the same measure space")
-    pairing, norms = _duality_sides(f, g, LorentzParams(p, r))
-    if norms == 0.0:
-        raise ValueError("duality check requires both inputs to have nonzero norm")
-    return pairing / norms
+    return _ratio(*_duality_sides(f, g, LorentzParams(p, r)))
 
 
 def _duality_sides(f: MeasuredValues, g: MeasuredValues, params: LorentzParams) -> tuple[float, float]:
@@ -481,25 +499,13 @@ def ell_partition(lam, q0: float, q1: float, r0: float) -> PartitionResult:
     beta = 2.0 ** (-ks * eta) * _grid_lp(block_vals, q0, 1.0, axis=1)
     gamma = 2.0 ** (ks * (1.0 - eta)) * _grid_lp(block_vals, q1, 1.0, axis=1)
     lhs = float(_grid_lp(beta, r0, 1.0) + _grid_lp(gamma, r0, 1.0))
-    bound = _partition_constant(q0, q1, r0, sigma) * lebesgue_norm(mv, r0)
+    bound = _partition_constant(q0, q1, r0, sigma) * float(_grid_lp(mv.values, r0, 1.0))
     return PartitionResult(ks, blocks, eta, sigma, beta, gamma, lhs, bound, _ratio(lhs, bound))
 
 
 # ---------------------------------------------------------------------------
 # Reiteration between Lorentz endpoints
 # ---------------------------------------------------------------------------
-
-
-def _endpoint_norm(v: MeasuredValues, p: float, r: float) -> float:
-    if p == 1.0:
-        if r != 1.0:
-            raise ValueError("endpoint with p=1 is supported only as L1 (r=1)")
-        return lebesgue_norm(v, 1.0)
-    if p == _INF:
-        if r != _INF:
-            raise ValueError("endpoint with p=inf is supported only as Linf (r=inf)")
-        return lebesgue_norm(v, _INF)
-    return lorentz_norm(v, LorentzParams(p, r))
 
 
 def reiteration_check(
@@ -553,24 +559,13 @@ def _reiteration_instance(
         rho = 2.0 ** (_inv(p0) - _inv(p1))
     params = InterpParams(theta, r, rho)
     target = LorentzParams(target_p, r)
-
-    def norm0(v: MeasuredValues) -> float:
-        return _endpoint_norm(v, p0, r0)
-
-    def norm1(v: MeasuredValues) -> float:
-        return _endpoint_norm(v, p1, r1)
+    ends = ((p0, r0), (p1, r1))
 
     def instance(rng: np.random.Generator) -> tuple[float, float]:
         v = MeasuredValues.from_sequence(_random_sequence(rng))
         prof = rearrangement(v)
         # lognormal values are positive, so the layer cake has pieces
-        cake = _layer_cake(v, prof)
-        pieces = [MeasuredValues(row, v.masses) for row in cake.pieces]
-        candidates = (
-            trivial_decomposition(v, norm0, norm1),
-            replace(cake, norms0=np.array([norm0(u) for u in pieces]),
-                    norms1=np.array([norm1(u) for u in pieces])),
-        )
+        candidates = trivial_decomposition(v, *ends), _layer_cake(v, prof, *ends)
         return min(j_bound(d, params) for d in candidates), lorentz_norm(prof, target)
 
     return instance

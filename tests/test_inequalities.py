@@ -214,12 +214,15 @@ class TestVerifyCase:
     def test_constant_field_falsifies_and_raises(self):
         # A constant lives entirely in the lowpass: every block vanishes, the
         # seminorm product is exactly zero, but the field itself has positive
-        # norm.  That combination would disprove the inequality, so it raises.
+        # norm.  That combination would disprove the inequality, so the
+        # runner's ratio rule raises on it.
         case = canonical_case()
         grid = GridSpec(1, 1024, 2.0 * math.pi)
         d = decompose(SampledField(grid, np.full(1024, 2.0)), 0, 7)
-        with pytest.raises(ArithmeticError):
-            verify_case(case, d)
+        lhs, rhs = verify_case(case, d)
+        assert rhs == 0.0 < lhs
+        with pytest.raises(ArithmeticError, match="^zero right side with positive left side "):
+            inequalities._suite_records(lambda rng: verify_case(case, d), [None])
 
 
 class TestAdmissibilitySegment:
