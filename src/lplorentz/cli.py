@@ -204,6 +204,11 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
     )
     if not 1 <= args.Lmin < args.Lmax:
         raise ValueError(f"need 1 <= --Lmin < --Lmax, got {args.Lmin} and {args.Lmax}")
+    # the level grid then has >= 4 levels spanning a factor of 8, as the slope fits need
+    if args.Lmax < 8 * args.Lmin:
+        raise ValueError(
+            f"need --Lmax >= 8 * --Lmin for a sweep over three octaves, got {args.Lmin} and {args.Lmax}"
+        )
     atom = _atom(args.moments)
     levels = default_level_grid(args.Lmin, args.Lmax)
     result = growth_experiment(params, atom, levels)
@@ -215,7 +220,12 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
         "expected": {k: _jsonable(v) for k, v in result.expected.items()},
     }
     text = json.dumps(slopes_payload, sort_keys=True, indent=2) + "\n"
-    _write(text, None if args.out is None else str(Path(args.out).with_suffix(".slopes.json")))
+    try:
+        _write(text, None if args.out is None else str(Path(args.out).with_suffix(".slopes.json")))
+    except RuntimeError:
+        # only a file write raises: leave no report without its slopes
+        Path(args.out).unlink()
+        raise
     return 0
 
 

@@ -316,7 +316,9 @@ def lebesgue_norm(v: MeasuredValues, p: float) -> float:
         return 0.0
     if p == _INF:
         return float(np.max(v.values))
-    total = float(np.sum(v.values**p * v.masses))
+    # an overflow surfaces as a non-finite integral, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(v.values**p * v.masses))
     if not math.isfinite(total):
         raise ArithmeticError("Lebesgue integral diverged on these values")
     return total ** (1.0 / p)

@@ -51,6 +51,17 @@ def split_sharpness_output(out: str):
 
 
 class TestNormCommand:
+    def test_lebesgue_divergence_prints_only_its_failure(self, tmp_path, capsys):
+        grid = GridSpec(1, 1024, 2.0 * math.pi)
+        path = save_field(SampledField(grid, 1e200 * np.cos(grid.axis_coordinates())), tmp_path / "big.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["norm", "--space", "lebesgue", "--input", str(path), "--p", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "failure: Lebesgue integral diverged on these values\n"
+
     def test_lebesgue_norm(self, cosine_field_path, capsys):
         code = main(["norm", "--space", "lebesgue", "--input", str(cosine_field_path), "--p", "2"])
         out = capsys.readouterr().out
@@ -503,6 +514,30 @@ class TestSharpnessCommand:
         assert captured.out == ""
         reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(companion)!r}"
         assert captured.err == f"failure: cannot write report to {str(companion)!r}: {reason}\n"
+
+    @pytest.mark.parametrize("flags, shown", [(["--Lmax", "32"], "8 and 32"), (["--Lmin", "9", "--Lmax", "71"], "9 and 71")])
+    def test_short_sweep_names_both_flags(self, flags, shown, capsys):
+        # the level grid of a range narrower than a factor of 8 is too short for the slope fits
+        assert main(self.CANONICAL + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need --Lmax >= 8 * --Lmin for a sweep over three octaves, got {shown}\n"
+
+    def test_shortest_sweep_runs(self, capsys):
+        assert main(self.CANONICAL + ["--Lmin", "9", "--Lmax", "72"]) == 0
+        _, _, rows, _ = split_sharpness_output(capsys.readouterr().out)
+        assert [int(row[0]) for row in rows] == [9, 14, 18, 28, 36, 56, 72]
+
+    @pytest.mark.parametrize("directory", ["x.csv", "x.slopes.json"])
+    def test_failed_write_leaves_no_half_pair(self, directory, tmp_path, capsys):
+        (tmp_path / directory).mkdir()
+        assert main(self.CANONICAL + ["--out", str(tmp_path / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"failure: cannot write report to {str(tmp_path / directory)!r}: ")
+        # only the directory that blocked the write is left
+        assert [path.name for path in tmp_path.iterdir()] == [directory]
+        assert not any((tmp_path / directory).iterdir())
 
     @pytest.mark.parametrize(
         "flags, shown",

@@ -288,6 +288,18 @@ class TestLorentzNorm:
         assert lorentz_norm(v, LorentzParams(2.0, 2.0)) == 0.0
 
     @pytest.mark.parametrize(
+        "values, masses, p",
+        [([1e200, 3e199], [1.0, 1.0], 3.0), ([2.0, 1.0], [1e308, 1e308], 1.5)],
+        ids=["value-power", "mass-sum"],
+    )
+    def test_lebesgue_overflow_raises_without_runtime_warning(self, values, masses, p):
+        v = MeasuredValues(np.array(values), np.array(masses))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="^Lebesgue integral diverged on these values$"):
+                lebesgue_norm(v, p)
+
+    @pytest.mark.parametrize(
         "values, masses, params",
         [
             ([1e200, 3e199], [1.0, 1.0], (2.0, 2.0)),  # values**r overflows
