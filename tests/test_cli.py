@@ -537,7 +537,6 @@ class TestSharpnessCommand:
         assert captured.err.startswith(f"failure: cannot write report to {str(tmp_path / directory)!r}: ")
         # only the directory that blocked the write is left
         assert [path.name for path in tmp_path.iterdir()] == [directory]
-        assert not any((tmp_path / directory).iterdir())
 
     @pytest.mark.parametrize(
         "flags, shown",

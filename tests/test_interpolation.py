@@ -627,13 +627,6 @@ class TestPieceNorms:
                              ((6.0, INF), lambda u: lorentz_norm(u, (6.0, INF)))):
             assert interpolation._piece_norms(pieces, v.masses, p, r).tolist() == [norm(u) for u in rows]
 
-    def test_endpoints_at_p_one_or_inf_must_be_lebesgue(self):
-        pieces, masses = np.ones((2, 3)), np.ones(3)
-        with pytest.raises(ValueError, match=r"^endpoint with p=1 is supported only as L1 \(r=1\)$"):
-            interpolation._piece_norms(pieces, masses, 1.0, 2.0)
-        with pytest.raises(ValueError, match=r"^endpoint with p=inf is supported only as Linf \(r=inf\)$"):
-            interpolation._piece_norms(pieces, masses, INF, 2.0)
-
 
 class TestInterpSuiteRunner:
     def test_all_checks_produce_finite_ratios(self):
