@@ -73,16 +73,12 @@ from .sharpness import (
     atomic_distribution,
     build_atom,
     build_closed_form_family,
-    build_family,
     build_params,
     default_level_grid,
     growth_experiment,
     pairing,
-    rasterization_grid,
-    rasterize,
     scale_counts,
     solve_exponents,
-    verify_disjoint,
 )
 
 __version__ = "0.1.0"

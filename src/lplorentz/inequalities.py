@@ -352,7 +352,7 @@ def generate_field(generator: str, rng: np.random.Generator, grid: GridSpec) -> 
             amplitude = float(rng.lognormal(0.0, 1.0)) * 2.0 ** (-j * 0.5)
             samples += _atom_row(x, grid.period, centers, j, amplitude)
         if cursor > grid.period:
-            raise ValueError("atom placement exceeded the period")
+            raise ValueError("the atomic rows run past the period")
         return SampledField(grid, samples)
     raise ValueError(f"unknown generator {generator!r}; expected one of {GENERATORS}")
 

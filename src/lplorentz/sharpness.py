@@ -12,16 +12,17 @@ rates over a sweep of ``L`` shows the inequality ratio grows like
 sweep are nested, so every level is read off the largest family in one pass.
 
 The Besov bounds and the pairing are closed forms.  The dual Lorentz norm
-of ``g_L`` is computed from the atom's rearrangement *sampled* at
-the 4096 midpoints of :func:`build_atom`, so it is exact for the
-sampled atom, not for the polynomial one; acceptance test 8 bounds that
-sampling error at 2 % against rasterized fields.  When ``r = p`` the dual
-space is ``L^{p'}`` and the norm is the ``l^{p'}`` sum of the per-scale
-norms, summed in base-2 logs.  Otherwise it is evaluated on an exact merge
-of per-scale copies of the sampled rearrangement: a sweep sorts the
-distribution entries of its largest sum once and reads every level off
-that order.  Rasterization appears only in cross-check oracles for small
-``L``.
+of ``g_L`` is computed from the atom's rearrangement *sampled* at the 4096
+midpoints of :func:`build_atom`, so it is exact for the sampled atom, not
+for the polynomial one; acceptance test 8 bounds that sampling error at 2 %
+against the sums sampled on a grid.  When ``r = p`` the dual space is
+``L^{p'}`` and the norm is the ``l^{p'}`` sum of the per-scale norms, summed
+in base-2 logs.  Otherwise it is evaluated on an exact merge of per-scale
+copies of the sampled rearrangement: a sweep sorts the distribution entries
+of its largest sum once and reads every level off that order.  No sum is
+ever laid out or sampled on a grid here: the integer-count families with
+concrete translates that cross-check the closed forms for small ``L`` live
+with the tests, in ``tests/placed_family.py``.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ __all__ = [
     "build_params",
     "scale_counts",
     "build_closed_form_family",
-    "build_family",
-    "verify_disjoint",
-    "placement_extent",
-    "rasterization_grid",
-    "rasterize",
     "atomic_besov_upper",
     "atomic_distribution",
     "pairing",
@@ -101,8 +97,9 @@ class Atom:
     order below ``moments`` vanish and the profile is normalized to unit L2
     norm.  ``rearrangement`` is the decreasing rearrangement of ``|atom|``
     sampled at 4096 midpoints; the distributions of atomic sums are exact
-    merges of scaled copies of it, so they inherit its sampling error.  ``l2_norm_sq`` and ``l1_norm`` are stored for
-    closed-form pairings and bounds.
+    merges of scaled copies of it, so they inherit its sampling error.
+    ``l2_norm_sq`` and ``l1_norm`` are stored for closed-form pairings and
+    bounds.
     """
 
     moments: int
@@ -257,31 +254,17 @@ def build_params(
 # ---------------------------------------------------------------------------
 
 
-def scale_counts(delta: float, scales, mode: str = "exact"):
-    """Per-scale atom counts ``A_j``.
-
-    ``exact`` returns the real values ``2**(delta*j)`` (used by all closed
-    forms: they make every scale contribute exactly equally).  ``integer``
-    returns ``round(2**(delta*(j+1/2)))`` clamped to the admissible bracket
-    ``[ceil(2**(delta*j)), floor(2**(delta*(j+1)))]``, falling back to the
-    lower edge when rounding leaves the bracket empty; these are used for
-    concrete placements and rasterization.
+def scale_counts(delta: float, scales) -> list[float]:
+    """Per-scale atom counts ``A_j = 2**(delta*j)``, exact real values that
+    make every scale contribute exactly equally in the closed forms.
 
     Raises ``ArithmeticError`` naming the first scale whose count overflows
     the float range.
     """
-    if mode not in ("exact", "integer"):
-        raise ValueError(f"unknown count mode {mode!r}")
     counts = []
     try:
         for j in scales:
-            if mode == "exact":
-                counts.append(2.0 ** (delta * j))
-                continue
-            lo = math.ceil(2.0 ** (delta * j) - 1e-12)
-            hi = math.floor(2.0 ** (delta * (j + 1)) + 1e-12)
-            cand = round(2.0 ** (delta * (j + 0.5)))
-            counts.append(max(lo, min(cand, hi)) if hi >= lo else lo)
+            counts.append(2.0 ** (delta * j))
     except OverflowError as exc:
         raise ArithmeticError(f"atom count leaves the float range at scale {j}: {exc}") from None
     return counts
@@ -290,11 +273,8 @@ def scale_counts(delta: float, scales, mode: str = "exact"):
 @dataclass(frozen=True, eq=False)
 class AtomicSum:
     """Sum ``sum_j 2**(j*coeff_exp) * sum_k atom(2**j x - k)`` over ``counts[i]``
-    translates at each scale ``scales[i]``.
-
-    ``placement`` maps each scale to the integer center numerators ``k``
-    (centers are ``k * 2**-j``); it is ``None`` for closed-form families,
-    whose translates are disjoint by construction but never materialized.
+    disjointly supported translates at each scale ``scales[i]``; the translates
+    are never materialized, only the closed forms below read the sum.
     """
 
     atom: Atom
@@ -302,44 +282,13 @@ class AtomicSum:
     coeff_exp: float
     scales: tuple[int, ...]
     counts: tuple[float, ...]
-    placement: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.scales) != len(self.counts):
             raise ValueError("scales and counts must have equal length")
-        if self.placement is not None:
-            if len(self.placement) != len(self.scales):
-                raise ValueError("placement must list one tuple of centers per scale")
-            for count, ks in zip(self.counts, self.placement):
-                if int(count) != count or len(ks) != int(count):
-                    raise ValueError("placed sums need integer counts matching the placement")
 
     def coefficient(self, j: int) -> float:
         return 2.0 ** (j * self.coeff_exp)
-
-
-def _placement_for_counts(scales, counts) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Disjoint per-scale rows: scale ``j`` occupies ``[cursor, cursor + (3*A-1)*2**-j]``
-    with centers ``(cursor * 2**j + 1 + 3*i) * 2**-j``; rows are separated by
-    integer gaps so all center numerators stay integers."""
-    cursor = 1
-    placement = []
-    for j, count in zip(scales, counts):
-        count = int(count)
-        base = cursor * 2**j
-        placement.append(tuple(base + 1 + 3 * i for i in range(count)))
-        num = 3 * count - 1
-        den = 2**j
-        cursor = cursor + (num + den - 1) // den + 1
-    return tuple(placement), cursor
-
-
-def placement_extent(s: AtomicSum) -> int:
-    """Integer length of the region occupied by a placed sum (with margins)."""
-    if s.placement is None:
-        raise ValueError("closed-form sums have no materialized placement")
-    _, extent = _placement_for_counts(s.scales, s.counts)
-    return extent
 
 
 def build_closed_form_family(params: SharpnessParams, atom: Atom, levels: int) -> tuple[AtomicSum, AtomicSum]:
@@ -348,72 +297,10 @@ def build_closed_form_family(params: SharpnessParams, atom: Atom, levels: int) -
     if levels < 1:
         raise ValueError("levels must be >= 1")
     scales = tuple(range(1, levels + 1))
-    counts = tuple(scale_counts(params.delta, scales, "exact"))
+    counts = tuple(scale_counts(params.delta, scales))
     f_sum = AtomicSum(atom, params.n, params.x_exp, scales, counts)
     g_sum = AtomicSum(atom, params.n, params.y_exp, scales, counts)
     return f_sum, g_sum
-
-
-def build_family(params: SharpnessParams, atom: Atom, levels: int) -> tuple[AtomicSum, AtomicSum]:
-    """The pair ``(f_L, g_L)`` with integer counts and a concrete disjoint
-    placement shared by both sums over the scales ``1..levels``; disjointness
-    is verified exactly."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    scales = tuple(range(1, levels + 1))
-    counts = tuple(float(c) for c in scale_counts(params.delta, scales, "integer"))
-    placement, _ = _placement_for_counts(scales, counts)
-    f_sum = AtomicSum(atom, params.n, params.x_exp, scales, counts, placement)
-    g_sum = AtomicSum(atom, params.n, params.y_exp, scales, counts, placement)
-    if not verify_disjoint(f_sum):
-        raise ArithmeticError("placement produced overlapping supports")
-    return f_sum, g_sum
-
-
-def verify_disjoint(s: AtomicSum) -> bool:
-    """Exact support disjointness via integer arithmetic, in ``O(N log N)``.
-
-    The term with numerator ``k`` at scale ``j`` is supported on the open
-    interval ``((k-1) * 2**-j, (k+1) * 2**-j)``; in cells of the finest scale
-    ``J`` that is ``((k-1) * 2**(J-j), (k+1) * 2**(J-j))``.  Sorted by start,
-    the supports are disjoint iff every start is at least the previous end
-    (open supports may touch).  For two terms at scales ``j1 <= j2`` this is
-    the criterion ``|k1 * 2**(j2-j1) - k2| >= 2**(j2-j1) + 1``.
-    """
-    if s.placement is None:
-        raise ValueError("closed-form sums have no materialized placement")
-    finest = max(s.scales, default=0)
-    supports = []
-    for j, ks in zip(s.scales, s.placement):
-        cells = 2 ** (finest - j)
-        supports.extend(((k - 1) * cells, (k + 1) * cells) for k in ks)
-    supports.sort()
-    return all(start >= end for (_, end), (start, _) in zip(supports, supports[1:]))
-
-
-def rasterization_grid(s: AtomicSum, points_per_axis: int = 4096) -> GridSpec:
-    """Power-of-two period just covering the placement, at the given resolution."""
-    extent = placement_extent(s)
-    period = 2.0 ** math.ceil(math.log2(extent + 1))
-    return GridSpec(1, points_per_axis, period)
-
-
-def rasterize(s: AtomicSum, grid: GridSpec) -> SampledField:
-    """Sample a placed sum on a grid (cross-check oracle; closed forms are
-    used everywhere else)."""
-    if s.placement is None:
-        raise ValueError("closed-form sums have no materialized placement")
-    if grid.dim != 1:
-        raise ValueError("rasterization is one-dimensional")
-    if grid.period < placement_extent(s):
-        raise ValueError("grid period does not cover the placement")
-    x = grid.axis_coordinates()
-    samples = np.zeros_like(x)
-    for j, ks in zip(s.scales, s.placement):
-        coeff = s.coefficient(j)
-        for k in ks:
-            samples += coeff * s.atom.evaluate(2.0**j * x - float(k))
-    return SampledField(grid, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +446,6 @@ def pairing(f: AtomicSum, g: AtomicSum) -> float:
     which is exactly the number of scales when counts are exact."""
     if f.atom is not g.atom or f.scales != g.scales or f.counts != g.counts:
         raise ValueError("pairing requires the same atom layout on both factors")
-    if f.placement != g.placement:
-        raise ValueError("pairing requires identical placements")
     total = 0.0
     for j, c in zip(f.scales, f.counts):
         total += c * 2.0 ** (j * (f.coeff_exp + g.coeff_exp - f.n))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_step_values
+from placed_family import build_placed_family, rasterization_grid, rasterize
 from lplorentz.inequalities import (
     CaseParams,
     generate_field,
@@ -35,12 +36,9 @@ from lplorentz.norms import (
 )
 from lplorentz.sharpness import (
     build_atom,
-    build_family,
     build_params,
     growth_experiment,
     pairing,
-    rasterization_grid,
-    rasterize,
     atomic_distribution,
     solve_exponents,
 )
@@ -251,9 +249,9 @@ class TestAcceptance:
         atom = build_atom(2)
         worst_profile = worst_norm = worst_pairing = 0.0
         for level in (1, 2, 3):
-            f_sum, g_sum = build_family(params, atom, level)
-            grid = rasterization_grid(f_sum, 4096)
-            f_grid, g_grid = rasterize(f_sum, grid), rasterize(g_sum, grid)
+            f_sum, g_sum, placement, extent = build_placed_family(params, atom, level)
+            grid = rasterization_grid(extent, 4096)
+            f_grid, g_grid = rasterize(f_sum, placement, grid), rasterize(g_sum, placement, grid)
             exact = atomic_distribution(f_sum)
             brute = rearrangement(MeasuredValues.from_field(f_grid))
             masses = np.linspace(0.0, float(exact.total_mass), 4001)[1:]

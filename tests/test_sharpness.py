@@ -1,8 +1,8 @@
 """Tests for the extremal atomic families and the growth experiment.
 
 The growth experiment consumes closed forms and distributions merged from the
-atom's sampled rearrangement; the rasterization oracle appears here only to
-cross-check those on small instances.
+atom's sampled rearrangement; the placed-family oracle of ``placed_family``
+appears here only to cross-check those on small instances.
 """
 
 import math
@@ -10,6 +10,14 @@ import math
 import numpy as np
 import pytest
 
+from placed_family import (
+    build_placed_family,
+    integer_counts,
+    place,
+    rasterization_grid,
+    rasterize,
+    verify_disjoint,
+)
 from lplorentz import sharpness
 from lplorentz.inequalities import CaseParams
 from lplorentz.norms import (
@@ -28,17 +36,12 @@ from lplorentz.sharpness import (
     atomic_distribution,
     build_atom,
     build_closed_form_family,
-    build_family,
     build_params,
     default_level_grid,
     growth_experiment,
     pairing,
-    placement_extent,
-    rasterization_grid,
-    rasterize,
     scale_counts,
     solve_exponents,
-    verify_disjoint,
 )
 from lplorentz.spectral import GridSpec, decompose, lowest_scale_for_dc_only
 
@@ -60,9 +63,9 @@ def reference_distribution(s):
     return rearrangement(MeasuredValues(np.concatenate(values), np.concatenate(masses)))
 
 
-def pairwise_disjoint(s):
+def pairwise_disjoint(scales, placement):
     """Brute-force oracle: ``|k1 * 2**(j2-j1) - k2| >= 2**(j2-j1) + 1`` for every pair."""
-    terms = sorted((j, k) for j, ks in zip(s.scales, s.placement) for k in ks)
+    terms = sorted((j, k) for j, ks in zip(scales, placement) for k in ks)
     for a, (j1, k1) in enumerate(terms):
         for j2, k2 in terms[a + 1:]:
             shift = 2 ** (j2 - j1)
@@ -187,32 +190,24 @@ class TestParams:
 
 class TestScaleCounts:
     def test_exact_counts(self):
-        assert scale_counts(0.5, range(1, 5), "exact") == pytest.approx(
+        assert scale_counts(0.5, range(1, 5)) == pytest.approx(
             [2.0**0.5, 2.0, 2.0**1.5, 4.0], rel=1e-15
         )
 
     def test_integer_counts_stay_in_bracket(self):
-        counts = scale_counts(0.5, range(1, 5), "integer")
+        counts = integer_counts(0.5, range(1, 5))
         assert counts == [2, 2, 3, 5]
         for j, count in zip(range(1, 5), counts):
             assert math.ceil(2.0 ** (0.5 * j) - 1e-9) <= count <= math.floor(2.0 ** (0.5 * (j + 1)) + 1e-9)
 
     def test_zero_delta_gives_one_per_scale(self):
-        assert scale_counts(0.0, range(1, 8), "integer") == [1] * 7
+        assert integer_counts(0.0, range(1, 8)) == [1] * 7
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            scale_counts(0.5, range(1, 3), "rounded")
-
-    @pytest.mark.parametrize("mode", ["exact", "integer"])
-    def test_overflowing_count_names_its_scale(self, mode):
+    def test_overflowing_count_names_its_scale(self):
         # 2**(0.5 * 2048) = 2**1024 is past the largest float; scale 2047 fits
-        # in exact mode, while the integer bracket's upper edge 2**(0.5 * 2048)
-        # already overflows there
-        first = 2048 if mode == "exact" else 2047
-        assert len(scale_counts(0.5, range(first - 3, first), mode)) == 3
-        with pytest.raises(ArithmeticError, match=f"scale {first}:"):
-            scale_counts(0.5, range(first - 3, first + 5), mode)
+        assert len(scale_counts(0.5, range(2045, 2048))) == 3
+        with pytest.raises(ArithmeticError, match="scale 2048:"):
+            scale_counts(0.5, range(2045, 2053))
 
 
 class TestFamilies:
@@ -222,7 +217,6 @@ class TestFamilies:
         f_sum, g_sum = build_closed_form_family(params, atom, 3)
         assert f_sum.scales == (1, 2, 3) == g_sum.scales
         assert f_sum.counts == pytest.approx((2.0**0.5, 2.0, 2.0**1.5), rel=1e-15)
-        assert f_sum.placement is None and g_sum.placement is None
         assert f_sum.coeff_exp == params.x_exp
         assert g_sum.coeff_exp == params.y_exp
         assert f_sum.coefficient(3) == 2.0 ** (3 * params.x_exp)
@@ -230,34 +224,27 @@ class TestFamilies:
     def test_placed_family_is_disjoint_with_shared_layout(self):
         params = canonical_params()
         atom = build_atom(2)
-        f_sum, g_sum = build_family(params, atom, 3)
-        assert f_sum.counts == (2.0, 2.0, 3.0)
-        assert f_sum.placement == ((3, 6), (21, 24), (65, 68, 71)) == g_sum.placement
-        assert verify_disjoint(f_sum)
-        assert placement_extent(f_sum) == 10
+        f_sum, g_sum, placement, extent = build_placed_family(params, atom, 3)
+        assert f_sum.counts == (2.0, 2.0, 3.0) == g_sum.counts
+        assert placement == ((3, 6), (21, 24), (65, 68, 71))
+        assert place(f_sum.scales, f_sum.counts) == (placement, extent)
+        assert verify_disjoint(f_sum.scales, placement)
+        assert extent == 10
 
     def test_tampered_placement_detected(self):
-        atom = build_atom(2)
         # Two same-scale translates one numerator apart overlap.
-        bad = AtomicSum(atom, 1, 0.25, (1,), (2.0,), ((3, 4),))
-        assert not verify_disjoint(bad)
+        assert not verify_disjoint((1,), ((3, 4),))
         # Cross-scale collision: center 3/2 at scale 1 hits center 3/4 at scale 2.
-        bad2 = AtomicSum(atom, 1, 0.25, (1, 2), (1.0, 1.0), ((3,), (6,)))
-        assert not verify_disjoint(bad2)
+        assert not verify_disjoint((1, 2), ((3,), (6,)))
 
     def test_atomic_sum_validation(self):
         atom = build_atom(2)
         with pytest.raises(ValueError):
             AtomicSum(atom, 1, 0.25, (1, 2), (1.0,))
         with pytest.raises(ValueError):
-            AtomicSum(atom, 1, 0.25, (1, 2), (1.0, 1.0), ((3,),))
-        with pytest.raises(ValueError):
-            AtomicSum(atom, 1, 0.25, (1,), (1.5,), ((3,),))
-        with pytest.raises(ValueError):
             build_closed_form_family(canonical_params(), atom, 0)
 
     def test_disjointness_matches_pairwise_oracle(self):
-        atom = build_atom(2)
         rng = np.random.default_rng(5)
         outcomes = set()
         for _ in range(300):
@@ -266,14 +253,12 @@ class TestFamilies:
                 tuple(int(k) for k in rng.integers(0, 2**j * 12, size=int(rng.integers(1, 4))))
                 for j in scales
             )
-            s = AtomicSum(atom, 1, 0.25, scales, tuple(float(len(ks)) for ks in placement), placement)
-            expected = pairwise_disjoint(s)
-            assert verify_disjoint(s) == expected
+            expected = pairwise_disjoint(scales, placement)
+            assert verify_disjoint(scales, placement) == expected
             outcomes.add(expected)
         assert outcomes == {True, False}
 
     def test_disjointness_at_exact_touching_and_one_cell_overlap(self):
-        atom = build_atom(2)
         cases = [
             ((2,), ((3, 5),), True),  # (2, 4)/4 and (4, 6)/4 touch
             ((2,), ((3, 4),), False),
@@ -286,18 +271,8 @@ class TestFamilies:
             ((1, 2, 3), ((3,), (12,), (10,)), False),  # nested: (9, 11)/8 inside (8, 16)/8
         ]
         for scales, placement, expected in cases:
-            s = AtomicSum(atom, 1, 0.25, scales, tuple(float(len(ks)) for ks in placement), placement)
-            assert pairwise_disjoint(s) == expected
-            assert verify_disjoint(s) == expected
-
-    def test_closed_form_sums_have_no_placement_machinery(self):
-        f_sum, _ = build_closed_form_family(canonical_params(), build_atom(2), 2)
-        with pytest.raises(ValueError):
-            verify_disjoint(f_sum)
-        with pytest.raises(ValueError):
-            placement_extent(f_sum)
-        with pytest.raises(ValueError):
-            rasterize(f_sum, GridSpec(1, 1024, 16.0))
+            assert pairwise_disjoint(scales, placement) == expected
+            assert verify_disjoint(scales, placement) == expected
 
 
 class TestClosedFormNorms:
@@ -418,9 +393,9 @@ class TestClosedFormNorms:
         f_other = AtomicSum(other_atom, 1, f2.coeff_exp, f2.scales, f2.counts)
         with pytest.raises(ValueError):
             pairing(f_other, g2)
-        placed_f, placed_g = build_family(params, atom, 2)
+        placed = build_placed_family(params, atom, 2)
         with pytest.raises(ValueError):
-            pairing(placed_f, g2)
+            pairing(placed.f, g2)
 
 
 class TestRasterizationOracle:
@@ -430,10 +405,10 @@ class TestRasterizationOracle:
         params = canonical_params()
         target = LorentzParams(params.p, params.r)
         for level in (1, 2, 3):
-            f_sum, g_sum = build_family(params, atom, level)
-            grid = rasterization_grid(f_sum, 4096)
-            f_grid = rasterize(f_sum, grid)
-            g_grid = rasterize(g_sum, grid)
+            f_sum, g_sum, placement, extent = build_placed_family(params, atom, level)
+            grid = rasterization_grid(extent, 4096)
+            f_grid = rasterize(f_sum, placement, grid)
+            g_grid = rasterize(g_sum, placement, grid)
             exact = lorentz_norm(atomic_distribution(f_sum), target)
             brute = lorentz_norm(MeasuredValues.from_field(f_grid), target)
             assert brute == pytest.approx(exact, rel=0.02)
@@ -449,22 +424,30 @@ class TestRasterizationOracle:
         params = canonical_params()
         space = BesovParams(params.alpha, params.q0, params.r0)
         for level in (1, 2, 3):
-            f_sum, _ = build_family(params, atom, level)
-            grid = rasterization_grid(f_sum, 4096)
-            d = decompose(rasterize(f_sum, grid), lowest_scale_for_dc_only(grid), 8)
+            f_sum, _, placement, extent = build_placed_family(params, atom, level)
+            grid = rasterization_grid(extent, 4096)
+            d = decompose(rasterize(f_sum, placement, grid), lowest_scale_for_dc_only(grid), 8)
             measured = besov_seminorm(d, space)
             bound = atomic_besov_upper(f_sum, space)
             assert 0.5 * bound <= measured <= 2.0 * bound
 
     def test_rasterization_grid_covers_placement(self):
-        f_sum, _ = build_family(canonical_params(), build_atom(2), 3)
-        grid = rasterization_grid(f_sum, 2048)
-        assert grid.period >= placement_extent(f_sum)
+        f_sum, _, placement, extent = build_placed_family(canonical_params(), build_atom(2), 3)
+        grid = rasterization_grid(extent, 2048)
+        assert grid.period >= extent
         assert grid.points_per_axis == 2048
         with pytest.raises(ValueError):
-            rasterize(f_sum, GridSpec(1, 2048, 8.0))
+            rasterize(f_sum, placement, GridSpec(1, 2048, 8.0))
         with pytest.raises(ValueError):
-            rasterize(f_sum, GridSpec(2, 64, 16.0))
+            rasterize(f_sum, placement, GridSpec(2, 64, 16.0))
+
+    def test_placement_must_match_the_counts(self):
+        atom = build_atom(2)
+        grid = GridSpec(1, 1024, 16.0)
+        with pytest.raises(ValueError):
+            rasterize(AtomicSum(atom, 1, 0.25, (1, 2), (1.0, 1.0)), ((3,),), grid)
+        with pytest.raises(ValueError):
+            rasterize(AtomicSum(atom, 1, 0.25, (1,), (1.5,)), ((3,),), grid)
 
 
 class TestGrowthExperiment:
