@@ -136,8 +136,15 @@ def _cmd_norm(args: argparse.Namespace) -> int:
         if args.s is None or args.p is None or args.q is None:
             raise ValueError("--s, --p and --q are required for block-based spaces")
         top = math.floor(math.log2(field.grid.nyquist * (1.0 + 1e-12))) - 1
-        j_min = args.jmin if args.jmin is not None else lowest_scale_for_dc_only(field.grid)
+        low = lowest_scale_for_dc_only(field.grid)
+        j_min = args.jmin if args.jmin is not None else low
         j_max = args.jmax if args.jmax is not None else top
+        if j_min < low:
+            # each block below ``low`` is zero, yet costs a full-grid multiplier and FFT row
+            raise ValueError(
+                f"--jmin must be at least {low}: the block frequencies up to 2**{j_min + 1} do not exceed "
+                f"the lowest grid frequency {2.0 * math.pi / field.grid.period:g}"
+            )
         if j_min >= j_max:
             raise ValueError(f"--jmin must be strictly below --jmax, got {j_min} and {j_max}")
         if j_max > top:
@@ -256,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--p", type=float, default=None, help="integrability exponent ('inf' allowed)")
     norm.add_argument("--q", type=float, default=None, help="inner/summation exponent")
     norm.add_argument("--r", type=float, default=None, help="secondary Lorentz exponent")
-    norm.add_argument("--jmin", type=int, default=None, help="lowest dyadic scale (default: DC-only)")
+    norm.add_argument("--jmin", type=int, default=None, help="lowest dyadic scale (default and minimum: DC-only)")
     norm.add_argument("--jmax", type=int, default=None, help="highest dyadic scale (default: grid limit)")
     norm.set_defaults(func=_cmd_norm)
 

@@ -166,9 +166,11 @@ def _piece_norms(pieces: np.ndarray, masses: np.ndarray, p: float, r: float) -> 
 
 
 def k_functional_L1_Linf(v, t: float) -> float:
-    """``K(t) = integral_0^t f*(s) ds``: the best split of ``v`` into an L1 part
-    of norm ``K(t) - t*f*(t)``-type and an Linf remainder, evaluated in closed
-    form on the step rearrangement."""
+    """``K(t) = integral_0^t f*(s) ds``, the K-functional of ``v`` for the pair
+    ``(L^1, L^inf)``: the least ``||f0||_1 + t*||f1||_inf`` over the splits
+    ``f = f0 + f1``.  Truncating ``f`` at the level ``f*(t)`` attains it, with
+    an L1 part of norm ``K(t) - t*f*(t)`` and an Linf part of norm ``f*(t)``.
+    Evaluated in closed form on the step rearrangement."""
     if not t >= 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _INF = math.inf
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 def _check_exponent(name: str, value: float) -> float:
@@ -248,6 +249,23 @@ def _as_lorentz_params(params) -> LorentzParams:
     return LorentzParams(*params)
 
 
+def _rescaled_root(power_sum, x: np.ndarray, p: float, axis=None):
+    """``power_sum(x) ** (1/p)`` for a sum of ``p``-th powers of the
+    nonnegative ``x`` reduced over ``axis``, taken on each reduced slice of
+    ``x`` divided by its largest entry and multiplied back by that maximum.
+
+    The norms call it only where the plain power sum is zero, subnormal or
+    not finite, so every power sum that is a normal float keeps the bits of
+    its root.  The result is non-finite only where the rescaled root leaves
+    the float range too.
+    """
+    top = x.max(axis=axis, keepdims=True, initial=0.0)
+    # an overflow surfaces as a non-finite root, left to the caller to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = power_sum(x / np.where(top > 0.0, top, 1.0)) ** (1.0 / p)
+        return root * top.reshape(np.shape(root))
+
+
 def lorentz_norm(v, params) -> float:
     """Lorentz norm ``( integral (s**(1/p) f*(s))**r ds/s )**(1/r)``.
 
@@ -255,7 +273,9 @@ def lorentz_norm(v, params) -> float:
     ``value**r * (p/r) * (S_i**(r/p) - S_{i-1}**(r/p))``, where the powers
     ``S_i**(r/p)`` are computed once and differenced in place.  For ``r = inf``
     the norm is ``sup_s s**(1/p) f*(s) = max_i value_i * S_i**(1/p)``, the
-    weak-type norm.  A norm that leaves the float range raises
+    weak-type norm.  A finite-``r`` sum that leaves the normal float range is
+    redone on the values divided by the largest one (see
+    :func:`_rescaled_root`).  A norm that leaves the float range raises
     ``ArithmeticError``.
     """
     params = _as_lorentz_params(params)
@@ -271,7 +291,12 @@ def lorentz_norm(v, params) -> float:
         else:
             steps = cum ** (r / p)
             steps[1:] -= steps[:-1]
-            norm = float(np.sum(values**r * (p / r) * steps)) ** (1.0 / r)
+
+            def power_sum(x):
+                return np.sum(x**r * (p / r) * steps)
+
+            total = float(power_sum(values))
+            norm = total ** (1.0 / r) if _TINY <= total < _INF else float(_rescaled_root(power_sum, values, r))
     if not math.isfinite(norm):
         raise ArithmeticError("Lorentz integral diverged on this profile")
     return norm
@@ -310,29 +335,55 @@ def lorentz_embedding_constant(p: float, r0: float, r1: float) -> float:
 
 
 def lebesgue_norm(v: MeasuredValues, p: float) -> float:
-    """Mass-weighted ``p``-norm of the values; ``p = inf`` gives the largest value."""
+    """Mass-weighted ``p``-norm of the values; ``p = inf`` gives the largest
+    value.  A sum that leaves the normal float range is redone on the values
+    divided by the largest one (see :func:`_rescaled_root`); a norm that
+    leaves the float range raises ``ArithmeticError``."""
     p = _check_exponent("p", p)
     if v.values.size == 0:
         return 0.0
     if p == _INF:
         return float(np.max(v.values))
-    # an overflow surfaces as a non-finite integral, reported below
+
+    def power_sum(x):
+        return np.sum(x**p * v.masses)
+
+    # an overflow surfaces as a non-finite integral, rescaled below
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(v.values**p * v.masses))
-    if not math.isfinite(total):
+        total = float(power_sum(v.values))
+    if _TINY <= total < _INF:
+        return total ** (1.0 / p)
+    norm = float(_rescaled_root(power_sum, v.values, p))
+    if not math.isfinite(norm):
         raise ArithmeticError("Lebesgue integral diverged on these values")
-    return total ** (1.0 / p)
+    return norm
 
 
 def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None):
     """Grid ``L^p`` norm of the nonnegative array ``a``, reduced over ``axis``;
     with ``cell_volume = 1`` it is the ``l^p`` norm of every block and sequence
-    sum.  A norm that leaves the float range raises ``ArithmeticError``."""
+    sum.  A sum that leaves the normal float range is redone on its row or
+    column divided by that slice's largest entry (see
+    :func:`_rescaled_root`); a norm that leaves the float range raises
+    ``ArithmeticError``."""
     if p == _INF:
         return a.max(axis=axis, initial=0.0)
-    # an overflow surfaces as a non-finite norm, reported below
+
+    def power_sum(x):
+        return np.sum(x**p, axis=axis) * cell_volume
+
+    # an overflow surfaces as a non-finite sum, rescaled below
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = (np.sum(a**p, axis=axis) * cell_volume) ** (1.0 / p)
+        total = power_sum(a)
+        norm = total ** (1.0 / p)
+    if axis is None:
+        normal = _TINY <= total < _INF
+    else:
+        normal = _TINY <= total.min(initial=_INF) and total.max(initial=0.0) < _INF
+    if normal:
+        return norm
+    retry = ~((total >= _TINY) & (total < _INF))
+    norm = np.where(retry, _rescaled_root(power_sum, a, p, axis), norm)
     if not np.isfinite(norm).all():
         raise ArithmeticError(f"l^{p:g} sum diverged: a power left the float range")
     return norm

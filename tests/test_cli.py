@@ -52,11 +52,12 @@ def split_sharpness_output(out: str):
 
 class TestNormCommand:
     def test_lebesgue_divergence_prints_only_its_failure(self, tmp_path, capsys):
+        # the L^1 norm of 1e308 * cos(x) on (0, 2pi) is 4e308, past the largest float
         grid = GridSpec(1, 1024, 2.0 * math.pi)
-        path = save_field(SampledField(grid, 1e200 * np.cos(grid.axis_coordinates())), tmp_path / "big.json")
+        path = save_field(SampledField(grid, 1e308 * np.cos(grid.axis_coordinates())), tmp_path / "big.json")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["norm", "--space", "lebesgue", "--input", str(path), "--p", "3"])
+            code = main(["norm", "--space", "lebesgue", "--input", str(path), "--p", "1"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -181,19 +182,71 @@ class TestNormCommand:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("space, p, q", [("besov", "300", "2"), ("triebel", "2", "300")])
-    def test_overflowing_sum_is_runtime_failure(self, space, p, q, tmp_path, capsys):
-        # 50**300 leaves the float range; the norm used to print as Infinity,
-        # which is not JSON
+    def test_overflowing_power_sum_is_rescaled(self, space, p, q, cosine_field_path, tmp_path, capsys):
+        # 50**300 leaves the float range, the seminorm of 50 * cos(4x) does not
         grid = GridSpec(1, 1024, 2.0 * math.pi)
         path = tmp_path / "loud.json"
         save_field(SampledField(grid, 50.0 * np.cos(4.0 * grid.axis_coordinates())), path)
+        flags = ["--s", "0.5", "--p", p, "--q", q]
+        assert main(["norm", "--space", space, "--input", str(cosine_field_path), *flags]) == 0
+        quiet = json.loads(capsys.readouterr().out)["norm"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["norm", "--space", space, "--input", str(path), "--s", "0.5", "--p", p, "--q", q])
+            code = main(["norm", "--space", space, "--input", str(path), *flags])
         captured = capsys.readouterr()
-        assert code == 1
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["norm"] == pytest.approx(50.0 * quiet, rel=1e-12)
+
+    @pytest.mark.parametrize("amplitude", [1e-200, 1e200])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--space", "lebesgue", "--p", "2"],
+            ["--space", "lorentz", "--p", "2", "--r", "2"],
+            ["--space", "besov", "--s", "0.5", "--p", "2", "--q", "2"],
+            ["--space", "triebel", "--s", "0.5", "--p", "2", "--q", "2"],
+        ],
+        ids=["lebesgue", "lorentz", "besov", "triebel"],
+    )
+    def test_edge_amplitudes_scale_the_norm(self, amplitude, flags, cosine_field_path, tmp_path, capsys):
+        # the squares of 1e-200 * cos(4x) underflow to zero and those of
+        # 1e200 * cos(4x) overflow; the norms are amplitude times the unit ones
+        grid = GridSpec(1, 1024, 2.0 * math.pi)
+        path = save_field(SampledField(grid, amplitude * np.cos(4.0 * grid.axis_coordinates())), tmp_path / "a.json")
+        assert main(["norm", "--input", str(cosine_field_path), *flags]) == 0
+        unit = json.loads(capsys.readouterr().out)["norm"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["norm", "--input", str(path), *flags])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["norm"] == pytest.approx(amplitude * unit, rel=1e-12)
+
+    def test_tiny_field_lebesgue_norm(self, tmp_path, capsys):
+        # ||1e-200 * cos(4x)||_{L2(0, 2pi)} = 1e-200 * sqrt(pi)
+        grid = GridSpec(1, 1024, 2.0 * math.pi)
+        path = save_field(SampledField(grid, 1e-200 * np.cos(4.0 * grid.axis_coordinates())), tmp_path / "a.json")
+        assert main(["norm", "--space", "lebesgue", "--input", str(path), "--p", "2"]) == 0
+        value = json.loads(capsys.readouterr().out)["norm"]
+        assert value == pytest.approx(1.7724538509055159e-200, rel=1e-12)
+
+    def test_jmin_below_the_dc_only_scale_is_rejected(self, cosine_field_path, capsys):
+        # on a 2pi period the DC-only scale is 0: block -1 lives at |xi| <= 1,
+        # where the only lattice frequency is 0, so it is identically zero
+        argv = ["norm", "--space", "besov", "--input", str(cosine_field_path), "--s", "0.5", "--p", "2", "--q", "2"]
+        assert main(argv) == 0
+        default = json.loads(capsys.readouterr().out)["norm"]
+        assert main([*argv, "--jmin", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["norm"] == default
+        assert main([*argv, "--jmin", "-1"]) == 2
+        captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "failure: l^300 sum diverged: a power left the float range\n"
+        assert captured.err == (
+            "error: --jmin must be at least 0: the block frequencies up to 2**0 do not exceed "
+            "the lowest grid frequency 1\n"
+        )
 
 
 class TestVerifyCommand:
@@ -295,18 +348,22 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == f"error: --grid must be a power of two >= 8, got {grid}\n"
 
-    def test_overflowing_seminorm_is_runtime_failure(self, capsys):
-        # q0 = 300 overflows the inner block sums: an infinite right side
-        # used to read as ratio 0, a false pass of the inequality
+    def test_overflowing_power_sums_leave_a_finite_seminorm(self, capsys):
+        # q0 = 300 overflows the powers of the inner block sums; rescaled,
+        # every right side stays finite and positive (an infinite one used to
+        # read as ratio 0, a false pass, then exited 1)
         args = list(self.ARGS)
         args[args.index("--q0") + 1] = "300"
+        args += ["--format", "json"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(args)
         captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "failure: l^300 sum diverged: a power left the float range\n"
+        assert code == 0
+        assert captured.err == ""
+        records = json.loads(captured.out)["records"]
+        assert len(records) == 3
+        assert all(0.0 < rec["rhs"] < math.inf and 0.0 < rec["ratio"] < math.inf for rec in records)
 
     def test_runtime_never_imports_scipy(self, tmp_path):
         # The cutoff's logistic takes libm exp through math.exp, so a whole

@@ -602,6 +602,35 @@ class TestPanelArrayKNorm:
         assert interpolation_norm_K(v, params) == pytest.approx(ref, rel=1e-13)
 
 
+class TestClassicalIdentities:
+    """Checks of the K-norm and the duality pairing against facts that share
+    no code with the quadrature: with ``theta = 1 - 1/p`` the K-norm is the
+    Lorentz norm of the maximal function ``f** = K(t)/t``."""
+
+    PS = (1.2, 2.0, 4.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_values(), st.sampled_from(PS))
+    def test_fubini_at_r_one(self, v, p):
+        # integral t**(1/p - 2) integral_0^t f* ds dt = p' * integral s**(1/p - 1) f*(s) ds
+        ratio = interpolation_norm_K(v, InterpParams(1.0 - 1.0 / p, 1.0)) / lorentz_norm(v, LorentzParams(p, 1.0))
+        assert ratio == pytest.approx(p / (p - 1.0), rel=1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_values(), st.sampled_from(PS), st.sampled_from((2.0, 3.5, INF)))
+    def test_hardy_range(self, v, p, r):
+        # f** >= f* gives the lower end, Hardy's inequality the upper end p'
+        ratio = interpolation_norm_K(v, InterpParams(1.0 - 1.0 / p, r)) / lorentz_norm(v, LorentzParams(p, r))
+        assert 1.0 - 1e-13 <= ratio <= p / (p - 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_values(), st.sampled_from(PS))
+    def test_hoelder_equality_at_r_equal_p(self, f, p):
+        # integral f * f**(p-1) = ||f||_p**p = ||f||_p * ||f**(p-1)||_{p'}
+        g = MeasuredValues(f.values ** (p - 1.0), f.masses)
+        assert duality_pairing_check(f, g, p, p) == pytest.approx(1.0, rel=1e-13)
+
+
 class TestLayerCakeArrayCore:
     @settings(max_examples=150, deadline=None)
     @given(step_values(allow_zeros=True))

@@ -1,5 +1,6 @@
 """Tests for rearrangements and the rearrangement-based norm family."""
 
+import dataclasses
 import math
 import warnings
 
@@ -24,8 +25,8 @@ from lplorentz.norms import (
     rearrangement,
     triebel_seminorm,
 )
-from lplorentz.norms import _power_sum_log2, _profile_from_sorted
-from lplorentz.spectral import GridSpec, SampledField, decompose
+from lplorentz.norms import _grid_lp, _power_sum_log2, _profile_from_sorted
+from lplorentz.spectral import GridSpec, SampledField, decompose, lowest_scale_for_dc_only
 
 INF = math.inf
 TWO_PI = 2.0 * math.pi
@@ -289,7 +290,8 @@ class TestLorentzNorm:
 
     @pytest.mark.parametrize(
         "values, masses, p",
-        [([1e200, 3e199], [1.0, 1.0], 3.0), ([2.0, 1.0], [1e308, 1e308], 1.5)],
+        # the norms are about 1e310 and 3e308, past the largest float
+        [([1e300, 3e299], [1e30, 1e30], 3.0), ([2.0, 1.0], [1e308, 1e308], 1.0)],
         ids=["value-power", "mass-sum"],
     )
     def test_lebesgue_overflow_raises_without_runtime_warning(self, values, masses, p):
@@ -302,7 +304,7 @@ class TestLorentzNorm:
     @pytest.mark.parametrize(
         "values, masses, params",
         [
-            ([1e200, 3e199], [1.0, 1.0], (2.0, 2.0)),  # values**r overflows
+            ([1e300, 3e299], [1e20, 1e20], (2.0, 2.0)),  # values**r and the norm overflow
             ([2.0, 1.0], [1e300, 1e300], (2.0, 4.0)),  # S**(r/p) overflows, inf - inf
             ([1e200], [1e300], (1.01, INF)),  # value * S**(1/p) overflows
         ],
@@ -315,6 +317,26 @@ class TestLorentzNorm:
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match="diverged"):
                 lorentz_norm(v, LorentzParams(*params))
+
+
+    @pytest.mark.parametrize(
+        "values, masses, p",
+        [([1e200, 3e199], [1.0, 1.0], 3.0), ([2.0, 1.0], [1e308, 1e308], 1.5), ([3e-200, 1e-200], [1.0, 2.0], 2.0)],
+        ids=["value-power", "mass-sum", "value-underflow"],
+    )
+    def test_power_sums_outside_the_normal_range_are_rescaled(self, values, masses, p):
+        # the power sums overflow or underflow, the norms do not
+        v = MeasuredValues(np.array(values), np.array(masses))
+        top = max(values)
+        unit = MeasuredValues(np.array(values) / top, np.array(masses))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lebesgue_norm(v, p) == pytest.approx(top * lebesgue_norm(unit, p), rel=1e-15)
+            if sum(masses) == INF:
+                return  # a Lorentz norm needs the total mass, past the float range here
+            for r in (1.0, p, 4.0):
+                expected = top * lorentz_norm(unit, LorentzParams(p, r))
+                assert lorentz_norm(v, LorentzParams(p, r)) == pytest.approx(expected, rel=1e-15)
 
 
 class TestPowerSumLog2:
@@ -455,12 +477,58 @@ class TestBlockSpaceSeminorms:
          (triebel_seminorm, (0.5, 300.0, 2.0)), (triebel_seminorm, (0.5, 2.0, 300.0))],
         ids=["besov-inner", "besov-outer", "triebel-outer", "triebel-envelope"],
     )
-    def test_overflow_raises_without_runtime_warning(self, seminorm, params):
+    def test_overflowing_powers_are_rescaled_without_runtime_warning(self, seminorm, params):
         # 1000 * cos(16x) has block sums near 1e3 and weighted ones near 7e3,
-        # whose 300th powers leave the float range
+        # whose 300th powers leave the float range; the seminorms do not
         grid = GridSpec(1, 1024, TWO_PI)
+        quiet = decompose(SampledField(grid, np.cos(16.0 * grid.axis_coordinates())), 0, 8)
         loud = decompose(SampledField(grid, 1e3 * np.cos(16.0 * grid.axis_coordinates())), 0, 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ArithmeticError, match=r"^l\^300 sum diverged"):
-                seminorm(loud, BesovParams(*params))
+            value = seminorm(loud, BesovParams(*params))
+        assert value == pytest.approx(1e3 * seminorm(quiet, BesovParams(*params)), rel=1e-12)
+
+    def test_grid_sums_rescale_each_row_and_raise_past_the_float_range(self):
+        rows = np.array([[1e-200, 2e-200], [1e200, 1e200], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = _grid_lp(rows, 2.0, 1.0, axis=1)
+            assert norms == pytest.approx([math.sqrt(5.0) * 1e-200, math.sqrt(2.0) * 1e200, 0.0], rel=1e-15)
+            # 3e308 itself is past the largest float
+            with pytest.raises(ArithmeticError, match=r"^l\^1 sum diverged"):
+                _grid_lp(np.full(3, 1e308), 1.0, 1.0)
+
+
+class TestHomogeneityOverTheFloatRange:
+    """``norm(lam * f) == lam * norm(f)`` for every power of ten ``lam`` that
+    keeps ``lam * norm(f)`` a normal float, for the four spaces of the
+    ``norm`` command.  The blocks are scaled directly, so the FFT's own range
+    does not enter."""
+
+    GRID = GridSpec(1, 1024, TWO_PI)
+    FIELD = SampledField(GRID, np.cos(4.0 * GRID.axis_coordinates()))
+
+    @staticmethod
+    def _norm(space, lam):
+        cls = TestHomogeneityOverTheFloatRange
+        if space in ("lebesgue", "lorentz"):
+            v = MeasuredValues.from_field(cls.FIELD)
+            v = MeasuredValues(lam * v.values, v.masses)
+            return lebesgue_norm(v, 2.0) if space == "lebesgue" else lorentz_norm(v, LorentzParams(2.0, 2.0))
+        d = decompose(cls.FIELD, lowest_scale_for_dc_only(cls.GRID), 7)
+        d = dataclasses.replace(d, blocks=lam * d.blocks, lowpass=lam * d.lowpass)
+        seminorm = besov_seminorm if space == "besov" else triebel_seminorm
+        return seminorm(d, BesovParams(0.5, 2.0, 2.0))
+
+    @pytest.mark.parametrize("space", ["lebesgue", "lorentz", "besov", "triebel"])
+    def test_every_power_of_ten_with_a_normal_norm(self, space):
+        base = self._norm(space, 1.0)
+        checked = 0
+        for k in range(-323, 309):
+            lam = 10.0**k
+            expected = lam * base
+            if not (np.finfo(float).tiny <= expected < INF):
+                continue
+            assert self._norm(space, lam) == pytest.approx(expected, rel=1e-12), k
+            checked += 1
+        assert checked > 600
