@@ -376,7 +376,7 @@ def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None):
     with np.errstate(over="ignore", invalid="ignore"):
         total = power_sum(a)
         norm = total ** (1.0 / p)
-    if axis is None:
+    if axis is None:  # a scalar compare spares two reductions on this per-call path
         normal = _TINY <= total < _INF
     else:
         normal = _TINY <= total.min(initial=_INF) and total.max(initial=0.0) < _INF

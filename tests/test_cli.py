@@ -224,14 +224,6 @@ class TestNormCommand:
         assert captured.err == ""
         assert json.loads(captured.out)["norm"] == pytest.approx(amplitude * unit, rel=1e-12)
 
-    def test_tiny_field_lebesgue_norm(self, tmp_path, capsys):
-        # ||1e-200 * cos(4x)||_{L2(0, 2pi)} = 1e-200 * sqrt(pi)
-        grid = GridSpec(1, 1024, 2.0 * math.pi)
-        path = save_field(SampledField(grid, 1e-200 * np.cos(4.0 * grid.axis_coordinates())), tmp_path / "a.json")
-        assert main(["norm", "--space", "lebesgue", "--input", str(path), "--p", "2"]) == 0
-        value = json.loads(capsys.readouterr().out)["norm"]
-        assert value == pytest.approx(1.7724538509055159e-200, rel=1e-12)
-
     def test_jmin_below_the_dc_only_scale_is_rejected(self, cosine_field_path, capsys):
         # on a 2pi period the DC-only scale is 0: block -1 lives at |xi| <= 1,
         # where the only lattice frequency is 0, so it is identically zero
