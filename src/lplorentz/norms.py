@@ -249,21 +249,32 @@ def _as_lorentz_params(params) -> LorentzParams:
     return LorentzParams(*params)
 
 
-def _rescaled_root(power_sum, x: np.ndarray, p: float, axis=None):
+def _power_root(power_sum, x: np.ndarray, p: float, diverged: str, axis=None):
     """``power_sum(x) ** (1/p)`` for a sum of ``p``-th powers of the
-    nonnegative ``x`` reduced over ``axis``, taken on each reduced slice of
-    ``x`` divided by its largest entry and multiplied back by that maximum.
+    nonnegative ``x`` reduced over ``axis``, a float when ``axis`` is None.
 
-    The norms call it only where the plain power sum is zero, subnormal or
-    not finite, so every power sum that is a normal float keeps the bits of
-    its root.  The result is non-finite only where the rescaled root leaves
-    the float range too.
+    A power sum that is a normal float keeps the bits of its plain root.  One
+    that is zero, subnormal or not finite is redone on its reduced slice of
+    ``x`` divided by that slice's largest entry, and that maximum multiplies
+    the root back; where that root leaves the float range too, it raises
+    ``ArithmeticError(diverged.format(p=p))``.  Callers run it with overflow
+    and invalid warnings off, so only that error reports an overflow.
     """
+    if axis is None:  # a scalar compare spares two reductions on this per-call path
+        total = float(power_sum(x))
+        if _TINY <= total < _INF:
+            return total ** (1.0 / p)
+    else:
+        total = power_sum(x)
+        root = total ** (1.0 / p)
+        if _TINY <= total.min(initial=_INF) and total.max(initial=0.0) < _INF:
+            return root
     top = x.max(axis=axis, keepdims=True, initial=0.0)
-    # an overflow surfaces as a non-finite root, left to the caller to report
-    with np.errstate(over="ignore", invalid="ignore"):
-        root = power_sum(x / np.where(top > 0.0, top, 1.0)) ** (1.0 / p)
-        return root * top.reshape(np.shape(root))
+    rescaled = power_sum(x / np.where(top > 0.0, top, 1.0)) ** (1.0 / p) * top.reshape(np.shape(total))
+    norm = float(rescaled) if axis is None else np.where((total >= _TINY) & (total < _INF), root, rescaled)
+    if not np.isfinite(norm).all():
+        raise ArithmeticError(diverged.format(p=p))
+    return norm
 
 
 def lorentz_norm(v, params) -> float:
@@ -275,7 +286,7 @@ def lorentz_norm(v, params) -> float:
     the norm is ``sup_s s**(1/p) f*(s) = max_i value_i * S_i**(1/p)``, the
     weak-type norm.  A finite-``r`` sum that leaves the normal float range is
     redone on the values divided by the largest one (see
-    :func:`_rescaled_root`).  A norm that leaves the float range raises
+    :func:`_power_root`).  A norm that leaves the float range raises
     ``ArithmeticError``.
     """
     params = _as_lorentz_params(params)
@@ -284,21 +295,16 @@ def lorentz_norm(v, params) -> float:
     if values.size == 0:
         return 0.0
     p, r = params.p, params.r
+    diverged = "Lorentz integral diverged on this profile"
     # an overflow surfaces as a non-finite norm, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        if r == _INF:
-            norm = float(np.max(values * cum ** (1.0 / p)))
-        else:
+        if r < _INF:
             steps = cum ** (r / p)
             steps[1:] -= steps[:-1]
-
-            def power_sum(x):
-                return np.sum(x**r * (p / r) * steps)
-
-            total = float(power_sum(values))
-            norm = total ** (1.0 / r) if _TINY <= total < _INF else float(_rescaled_root(power_sum, values, r))
+            return _power_root(lambda x: np.sum(x**r * (p / r) * steps), values, r, diverged)
+        norm = float(np.max(values * cum ** (1.0 / p)))
     if not math.isfinite(norm):
-        raise ArithmeticError("Lorentz integral diverged on this profile")
+        raise ArithmeticError(diverged)
     return norm
 
 
@@ -337,26 +343,16 @@ def lorentz_embedding_constant(p: float, r0: float, r1: float) -> float:
 def lebesgue_norm(v: MeasuredValues, p: float) -> float:
     """Mass-weighted ``p``-norm of the values; ``p = inf`` gives the largest
     value.  A sum that leaves the normal float range is redone on the values
-    divided by the largest one (see :func:`_rescaled_root`); a norm that
+    divided by the largest one (see :func:`_power_root`); a norm that
     leaves the float range raises ``ArithmeticError``."""
     p = _check_exponent("p", p)
     if v.values.size == 0:
         return 0.0
     if p == _INF:
         return float(np.max(v.values))
-
-    def power_sum(x):
-        return np.sum(x**p * v.masses)
-
-    # an overflow surfaces as a non-finite integral, rescaled below
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(power_sum(v.values))
-    if _TINY <= total < _INF:
-        return total ** (1.0 / p)
-    norm = float(_rescaled_root(power_sum, v.values, p))
-    if not math.isfinite(norm):
-        raise ArithmeticError("Lebesgue integral diverged on these values")
-    return norm
+        return _power_root(lambda x: np.sum(x**p * v.masses), v.values, p,
+                           "Lebesgue integral diverged on these values")
 
 
 def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None):
@@ -364,29 +360,13 @@ def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None):
     with ``cell_volume = 1`` it is the ``l^p`` norm of every block and sequence
     sum.  A sum that leaves the normal float range is redone on its row or
     column divided by that slice's largest entry (see
-    :func:`_rescaled_root`); a norm that leaves the float range raises
+    :func:`_power_root`); a norm that leaves the float range raises
     ``ArithmeticError``."""
     if p == _INF:
         return a.max(axis=axis, initial=0.0)
-
-    def power_sum(x):
-        return np.sum(x**p, axis=axis) * cell_volume
-
-    # an overflow surfaces as a non-finite sum, rescaled below
     with np.errstate(over="ignore", invalid="ignore"):
-        total = power_sum(a)
-        norm = total ** (1.0 / p)
-    if axis is None:  # a scalar compare spares two reductions on this per-call path
-        normal = _TINY <= total < _INF
-    else:
-        normal = _TINY <= total.min(initial=_INF) and total.max(initial=0.0) < _INF
-    if normal:
-        return norm
-    retry = ~((total >= _TINY) & (total < _INF))
-    norm = np.where(retry, _rescaled_root(power_sum, a, p, axis), norm)
-    if not np.isfinite(norm).all():
-        raise ArithmeticError(f"l^{p:g} sum diverged: a power left the float range")
-    return norm
+        return _power_root(lambda x: np.sum(x**p, axis=axis) * cell_volume, a, p,
+                           "l^{p:g} sum diverged: a power left the float range", axis)
 
 
 def _as_besov_params(params) -> BesovParams:
