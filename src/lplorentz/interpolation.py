@@ -301,30 +301,27 @@ def j_bound(d: JDecomposition, params: InterpParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _powers(base: float, k: np.ndarray) -> np.ndarray:
-    """``base**k`` for an integer array ``k``, each power a Python float power.
-
-    ``np.power`` can differ from Python's ``pow`` in the last bit, which
-    moves a value lying on a power of ``base`` into the next block; the
-    powers are therefore taken in Python, once per exponent in the range of
-    ``k``, which spans a few scales.
-    """
-    k0 = int(k.min())
-    table = np.array([base**j for j in range(k0, int(k.max()) + 1)])
-    return table[k - k0]
-
-
 def _threshold_index(d: np.ndarray, base: float = 2.0) -> np.ndarray:
     """Integers ``k`` with ``base**k < d <= base**(k+1)`` for each entry of the
     nonempty positive array ``d`` and ``base > 1``, exact under Python's float
-    ``pow``: a logarithm estimate, then fix-up steps until every entry holds."""
+    ``pow``.
+
+    A logarithm puts each ``k`` within one of its estimate, so one sorted
+    table of ``base**j``, from the smallest estimate to one past the largest,
+    places every entry.  ``np.power`` can differ from Python's ``pow`` in the
+    last bit, which moves a value lying on a power of ``base`` into the next
+    block, so the table holds Python powers.  The power past the largest
+    estimate is taken only when an entry exceeds the table, so no power
+    above ``base**(k+1)`` of the largest ``k`` is formed, which could raise
+    Python's ``OverflowError``.
+    """
     base = float(base)
-    k = np.ceil(np.log(d) / math.log(base)).astype(np.int64) - 1
-    while (down := _powers(base, k) >= d).any():
-        k = k - down
-    while (up := _powers(base, k + 1) < d).any():
-        k = k + up
-    return k
+    est = np.ceil(np.log(d) / math.log(base)).astype(np.int64) - 1
+    lo, hi = int(est.min()), int(est.max())
+    table = [base**j for j in range(lo, hi + 1)]
+    if d.max() > table[-1]:
+        table.append(base ** (hi + 1))
+    return lo - 1 + np.searchsorted(table, d)
 
 
 def _threshold_blocks(values: np.ndarray, prof: RearrangementProfile,
