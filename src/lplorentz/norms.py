@@ -362,11 +362,14 @@ def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None):
     column divided by that slice's largest entry (see
     :func:`_power_root`); a norm that leaves the float range raises
     ``ArithmeticError``."""
+    diverged = "l^{p:g} sum diverged: a power left the float range"
     if p == _INF:
-        return a.max(axis=axis, initial=0.0)
+        norm = a.max(axis=axis, initial=0.0)
+        if not np.isfinite(norm).all():
+            raise ArithmeticError(diverged.format(p=p))
+        return norm
     with np.errstate(over="ignore", invalid="ignore"):
-        return _power_root(lambda x: np.sum(x**p, axis=axis) * cell_volume, a, p,
-                           "l^{p:g} sum diverged: a power left the float range", axis)
+        return _power_root(lambda x: np.sum(x**p, axis=axis) * cell_volume, a, p, diverged, axis)
 
 
 def _as_besov_params(params) -> BesovParams:
@@ -380,11 +383,15 @@ def besov_seminorm(d: BlockDecomposition, params) -> float:
 
     ``q = inf`` takes the supremum over scales.  The lowpass field does not
     contribute, so constant fields have seminorm zero.  A sum that leaves the
-    float range raises ``ArithmeticError``, here and in :func:`triebel_seminorm`.
+    float range, or a weight ``2**(j*s)`` that does, raises ``ArithmeticError``,
+    here and in :func:`triebel_seminorm`.
     """
     params = _as_besov_params(params)
     rows = np.abs(d.blocks.reshape(d.blocks.shape[0], -1))
-    weighted = 2.0 ** (d.scales * params.s) * _grid_lp(rows, params.p, d.grid.cell_volume, axis=1)
+    block_norms = _grid_lp(rows, params.p, d.grid.cell_volume, axis=1)
+    # an overflowing weight surfaces as a non-finite scale sum, reported there
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = 2.0 ** (d.scales * params.s) * block_norms
     return float(_grid_lp(weighted, params.q, 1.0))
 
 
@@ -397,6 +404,8 @@ def triebel_seminorm(d: BlockDecomposition, params) -> float:
     """
     params = _as_besov_params(params)
     rows = np.abs(d.blocks.reshape(d.blocks.shape[0], -1))
-    weighted = rows * 2.0 ** (d.scales * params.s)[:, None]
+    # an overflowing weight surfaces as a non-finite scale sum, reported there
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = rows * 2.0 ** (d.scales * params.s)[:, None]
     envelope = _grid_lp(weighted, params.q, 1.0, axis=0)
     return float(_grid_lp(envelope, params.p, d.grid.cell_volume))

@@ -63,6 +63,20 @@ class TestNormCommand:
         assert captured.out == ""
         assert captured.err == "failure: Lebesgue integral diverged on these values\n"
 
+    @pytest.mark.parametrize("space", ["besov", "triebel"])
+    @pytest.mark.parametrize("q", ["2", "inf"])
+    def test_overflowing_weight_prints_only_its_failure(self, cosine_field_path, capsys, space, q):
+        # the blocks j = 6..8 hold only FFT noise, below 1e-14, yet their weights
+        # 2**(200*j) overflow: the computed seminorm is past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["norm", "--space", space, "--input", str(cosine_field_path),
+                         "--s", "200", "--p", "2", "--q", q])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"failure: l^{q} sum diverged: a power left the float range\n"
+
     def test_lebesgue_norm(self, cosine_field_path, capsys):
         code = main(["norm", "--space", "lebesgue", "--input", str(cosine_field_path), "--p", "2"])
         out = capsys.readouterr().out
