@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_step_values
@@ -238,6 +238,43 @@ class TestTieMerge:
         cum_before = prof.cum_masses.copy()
         assert lorentz_norm(prof, (p, r)) == want
         assert np.array_equal(prof.cum_masses, cum_before)
+
+
+wide_value = st.one_of(st.just(0.0), st.floats(min_value=1e-60, max_value=1e60))
+plain_exponent = st.sampled_from([1.0, 1.5, 2.0, 3.7, 8.0])
+
+
+class TestPlainRootBits:
+    """Where a power sum is a normal float the norms return its plain root
+    ``(power sum) ** (1/p)`` bit for bit; only the other sums are rescaled.
+    Values span 1e-60..1e60, so 8th powers leave the float range both ways."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(wide_value, min_size=1, max_size=30), plain_exponent, st.data())
+    def test_lebesgue_norm(self, values, p, data):
+        values = np.array(values)
+        masses = np.array(data.draw(st.lists(non_dyadic_mass, min_size=values.size, max_size=values.size)))
+        with np.errstate(over="ignore"):
+            total = float(np.sum(values**p * masses))
+        assume(np.finfo(float).tiny <= total < INF)
+        assert lebesgue_norm(MeasuredValues(values, masses), p) == total ** (1.0 / p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.lists(wide_value, min_size=1, max_size=30), plain_exponent, non_dyadic_mass,
+           st.randoms(use_true_random=False))
+    def test_grid_lp_on_the_whole_array_and_per_row(self, n_rows, row, p, cell_volume, rnd):
+        # each row a shuffled copy of ``row`` scaled by its own power of ten
+        a = np.array([[10.0 ** rnd.randint(-40, 40) * x for x in rnd.sample(row, len(row))]
+                      for _ in range(n_rows)])
+        with np.errstate(over="ignore"):
+            total = np.sum(a**p) * cell_volume
+            row_totals = np.sum(a**p, axis=1) * cell_volume
+        if np.finfo(float).tiny <= total < INF:
+            assert _grid_lp(a, p, cell_volume) == total ** (1.0 / p)
+        normal = (row_totals >= np.finfo(float).tiny) & (row_totals < INF)
+        assume(normal.any())
+        got = _grid_lp(a, p, cell_volume, axis=1)
+        assert np.array_equal(got[normal], (row_totals ** (1.0 / p))[normal])
 
 
 class TestLorentzNorm:
