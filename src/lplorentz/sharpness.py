@@ -255,8 +255,10 @@ def build_params(
 
 
 def scale_counts(delta: float, scales) -> list[float]:
-    """Per-scale atom counts ``A_j = 2**(delta*j)``, exact real values that
-    make every scale contribute exactly equally in the closed forms.
+    """Per-scale atom counts ``A_j = 2**(delta*j)``, real values rather than
+    integers.  In exact arithmetic they make every scale contribute equally to
+    the closed forms; the computed contributions are equal only up to float
+    rounding.
 
     Raises ``ArithmeticError`` naming the first scale whose count overflows
     the float range.
@@ -292,8 +294,10 @@ class AtomicSum:
 
 
 def build_closed_form_family(params: SharpnessParams, atom: Atom, levels: int) -> tuple[AtomicSum, AtomicSum]:
-    """The pair ``(f_L, g_L)`` over the scales ``1..levels`` with exact real
-    counts ``2**(delta*j)``; their Besov bounds and pairings are closed forms."""
+    """The pair ``(f_L, g_L)`` over the scales ``1..levels`` with the real
+    counts ``2**(delta*j)``; their Besov bounds and pairings are closed forms,
+    whose equal-contribution identities hold in exact arithmetic and only up
+    to float rounding in the computed values."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
     scales = tuple(range(1, levels + 1))
@@ -345,10 +349,11 @@ def atomic_besov_upper(s: AtomicSum, spaceparams) -> float:
     * ||coeffs_j||_{l^q})**r)**(1/r)`` with the per-scale coefficient blocks
     ``||coeffs_j||_{l^q} = counts[j]**(1/q) * 2**(j*coeff_exp)``.
 
-    Evaluated in base-2 logs with max-shift so arbitrarily long families
-    neither overflow nor lose the exact equal-contribution structure.
-    ``C_atom`` is the measured seminorm of one unit atom at scale zero, so a
-    single-term sum returns exactly that constant.
+    Evaluated in base-2 logs with max-shift so arbitrarily long families do
+    not overflow.  The scales contribute equally in exact arithmetic; the
+    computed terms are equal only up to float rounding.  ``C_atom`` is the
+    measured seminorm of one unit atom at scale zero, so a sum of that one
+    atom (scale 0, count 1) returns exactly that constant.
     """
     spaceparams = _as_besov_params(spaceparams)
     constant, exps = _besov_terms(s, spaceparams)
@@ -440,10 +445,12 @@ def _dual_norms(s: AtomicSum, levels, dual: LorentzParams) -> list[float]:
 
 
 def pairing(f: AtomicSum, g: AtomicSum) -> float:
-    """Exact integral of ``f * g`` for two sums over the same atom layout:
-    ``sum_j counts[j] * 2**(j*(Ef + Eg - n)) * ||atom||_{L2}**2``.  With the
-    solved exponents this equals ``||atom||_{L2}**2 * sum_j counts[j] * 2**(-j*delta)``,
-    which is exactly the number of scales when counts are exact."""
+    """Integral of ``f * g`` for two sums over the same atom layout, in closed
+    form: ``sum_j counts[j] * 2**(j*(Ef + Eg - n)) * ||atom||_{L2}**2``.  With
+    the solved exponents this equals ``||atom||_{L2}**2 * sum_j counts[j] *
+    2**(-j*delta)``; in exact arithmetic the sum is the number of scales, and
+    the computed one only up to float rounding (``7.999999999999922`` at
+    ``L = 8`` in the composed sweep)."""
     if f.atom is not g.atom or f.scales != g.scales or f.counts != g.counts:
         raise ValueError("pairing requires the same atom layout on both factors")
     total = 0.0
@@ -494,10 +501,12 @@ def _fit_slope(levels, values) -> float:
 def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResult:
     """Sweep the number of scales and fit growth exponents of all quantities.
 
-    Uses exact real counts so that every scale contributes equally: the two
-    Besov bounds of ``f_L`` are then exactly proportional to ``L**(1/r0)``
-    and ``L**(1/r1)``, the pairing to ``L``, and the Lorentz lower bound
-    ``pairing / ||g_L||_{p',r'}`` approaches ``L**(1/r)``.  The dual norm is
+    Uses the real counts ``2**(delta*j)``, with which every scale contributes
+    equally in exact arithmetic: the two Besov bounds of ``f_L`` are then
+    proportional to ``L**(1/r0)`` and ``L**(1/r1)``, the pairing to ``L``,
+    and the Lorentz lower bound ``pairing / ||g_L||_{p',r'}`` approaches
+    ``L**(1/r)``.  The computed values keep these identities only up to float
+    rounding.  The dual norm is
     a closed-form ``l^{p'}`` sum over scales when ``r = p`` and a merge of
     the sampled distribution otherwise (:func:`_dual_norms`).  The fitted slopes
     are checked here (2%, 2%, 1%, 3% tolerances); the ratio slope is returned
