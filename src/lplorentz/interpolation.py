@@ -304,16 +304,13 @@ def j_bound(d: JDecomposition, params: InterpParams) -> float:
 def _threshold_index(d: np.ndarray, base: float = 2.0) -> np.ndarray:
     """Integers ``k`` with ``base**k < d <= base**(k+1)`` for each entry of the
     nonempty positive array ``d`` and ``base > 1``, exact under Python's float
-    ``pow``.
+    ``pow``: a logarithm puts each ``k`` within one of its estimate, and one
+    sorted table of ``base**j`` places every entry.
 
-    A logarithm puts each ``k`` within one of its estimate, so one sorted
-    table of ``base**j``, from the smallest estimate to one past the largest,
-    places every entry.  ``np.power`` can differ from Python's ``pow`` in the
-    last bit, which moves a value lying on a power of ``base`` into the next
-    block, so the table holds Python powers.  The power past the largest
-    estimate is taken only when an entry exceeds the table, so no power
-    above ``base**(k+1)`` of the largest ``k`` is formed, which could raise
-    Python's ``OverflowError``.
+    ``np.power`` can differ from Python's ``pow`` in the last bit, which
+    moves a value lying on a power of ``base`` into the next block, so the
+    table holds Python powers.  Its top power, one past the largest estimate,
+    is formed only when an entry needs it, since it may raise ``OverflowError``.
     """
     base = float(base)
     est = np.ceil(np.log(d) / math.log(base)).astype(np.int64) - 1
