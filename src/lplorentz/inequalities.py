@@ -375,7 +375,8 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 def _suite_records(instance: _Instance, rngs: Iterable[np.random.Generator]) -> list[dict]:
     """Records ``{instance_id, lhs, rhs, ratio}`` of one call of ``instance``
-    per generator in ``rngs``: the one record loop of ``verify`` and ``interp``."""
+    per generator in ``rngs``: the one record loop of ``verify`` and ``interp``,
+    whose blocks pass their ``(lhs, rhs)`` pairs with an identity ``instance``."""
     sides = (instance(rng) for rng in rngs)
     return [{"instance_id": i, "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)} for i, (lhs, rhs) in enumerate(sides)]
 

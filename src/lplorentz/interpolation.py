@@ -6,20 +6,28 @@ derived constant, see :func:`j_bound_constant`), a disjoint-support
 layer-cake decomposition realizing that bound, a duality pairing check, a
 rank-threshold partition of sequences, and an empirical reiteration check.
 
-The layer cake and the partition share one rank-block kernel and hold their
-blocks as ``(K,)`` and ``(K, n)`` arrays; their ``l^q`` block sums are the
-grid norm of :mod:`lplorentz.norms` at unit cell volume.  One kernel
+The layer cake and the partition share one rank-block kernel and hold the
+blocks of a block of rows as ``(G,)`` scales and ``(G, m)`` rows; their
+``l^q`` block sums are the grid norm of :mod:`lplorentz.norms` at unit cell
+volume.  One kernel
 measures the pieces of every J-decomposition in endpoint spaces ``L^{p,r}``
-named by exponent pairs ``(p, r)``.  Each check suite in
-:data:`CHECKS` is an ``(lhs, rhs)`` function of a random generator, turned
-into records by the one runner of :mod:`lplorentz.inequalities` that
-``verify`` uses too, whose ratio rule also gives :func:`layer_cake_bound_ratio`,
+named by exponent pairs ``(p, r)``.
+
+Each check suite in :data:`CHECKS` draws its random instances one at a time,
+in a fixed order from one seeded generator, and evaluates them in blocks of
+:data:`_BLOCK` instances held as zero-padded ``(N, m)`` rows with their
+lengths: one sort orders all rows (the row kernel of
+:mod:`lplorentz.norms`), and every sum is taken over each row's true length,
+so a record has the bits of its instance evaluated alone.  The public
+single-input functions are the one-row case of the same code.  Records come
+from the one runner of :mod:`lplorentz.inequalities` that ``verify`` uses
+too, whose ratio rule also gives :func:`layer_cake_bound_ratio`,
 :func:`duality_pairing_check` and the ratio of :func:`ell_partition`.
 
 All integrals over step profiles are closed-form except the middle pieces of
 :func:`interpolation_norm_K`, which are analytic in the integration variable
 and handled by fixed-order Gauss-Legendre panels on dyadic subintervals; the
-panels of all pieces are laid out and evaluated as one array.
+panels of all pieces of all rows are laid out and evaluated as one array.
 """
 
 from __future__ import annotations
@@ -29,19 +37,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import _Instance, _ratio, _suite_records
+from .inequalities import _ratio, _suite_records
 from .norms import (
     LorentzParams,
     MeasuredValues,
-    RearrangementProfile,
     _as_lorentz_params,
     _check_exponent,
     _compose,
-    _grid_lp,
+    _grid_lp_roots,
+    _grid_lp_rows,
     _inv,
-    _power_sum_log2,
+    _lorentz_rows,
+    _one_profile,
+    _power_sums_log2,
+    _Profiles,
+    _profile_rows,
+    _row_sums,
     conjugate_exponent,
-    lorentz_norm,
     rearrangement,
 )
 
@@ -74,6 +86,13 @@ _LN2 = math.log(2.0)
 _L1_LINF = ((1.0, 1.0), (_INF, _INF))
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+# instances per evaluated block of a check suite, a fixed count so that peak
+# memory does not grow with the suite.  Larger blocks spread the numpy call
+# overhead further but hold more padded rows: on 200-instance suites one block
+# ran about 10 % faster than blocks of 128 and 72, and raised peak RSS by 8 %
+# where these raise it by 6 %, against the 10 % the benchmark allows
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -144,20 +163,42 @@ def trivial_decomposition(v: MeasuredValues, end0, end1) -> JDecomposition:
                           _piece_norms(pieces, v.masses, *end0), _piece_norms(pieces, v.masses, *end1))
 
 
-def _piece_norms(pieces: np.ndarray, masses: np.ndarray, p: float, r: float) -> np.ndarray:
-    """``L^{p,r}`` norm of each row of the nonnegative ``(K, n)`` array
-    ``pieces`` on the masses ``masses``: the L1 norm for ``p = 1``, the Linf
-    norm for ``p = inf`` and :func:`lorentz_norm` otherwise."""
+def _piece_norms(pieces: np.ndarray, masses: np.ndarray, p: float, r: float, lengths=None) -> np.ndarray:
+    """``L^{p,r}`` norm of each row of the nonnegative 2-D array ``pieces`` on
+    the masses ``masses`` (one row for all, or one per piece): the L1 norm for
+    ``p = 1``, the Linf norm for ``p = inf`` and the row kernel of
+    :func:`lorentz_norm` otherwise.  Row ``i`` holds ``lengths[i]`` entries
+    and zeros past them; every row is full when ``lengths`` is None."""
     if p == 1.0:
         if r != 1.0:
             raise ValueError("endpoint with p=1 is supported only as L1 (r=1)")
-        return np.sum(pieces * masses, axis=1)
+        return _row_sums(pieces * masses, lengths)
     if p == _INF:
         if r != _INF:
             raise ValueError("endpoint with p=inf is supported only as Linf (r=inf)")
         return pieces.max(axis=1, initial=0.0)
     params = LorentzParams(p, r)
-    return np.array([lorentz_norm(MeasuredValues(row, masses), params) for row in pieces])
+    prof = _profile_rows(pieces, np.broadcast_to(masses, pieces.shape))
+    return np.array(_lorentz_rows(prof, params.p, params.r))
+
+
+def _pad(x: np.ndarray, counts: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """The 1-D ``x`` cut into consecutive rows of ``counts[i]`` entries, as one
+    ``(N, max count)`` array padded with ``fill``."""
+    out = np.full((counts.size, counts.max(initial=0)), fill)
+    out[np.arange(out.shape[1]) < counts[:, None]] = x
+    return out
+
+
+def _pad_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D arrays ``rows`` as one zero-padded array, and their lengths."""
+    lengths = np.array([row.size for row in rows])
+    return _pad(np.concatenate(rows), lengths), lengths
+
+
+def _unit_masses(lengths: np.ndarray) -> np.ndarray:
+    """Counting measure on rows of ``lengths`` entries, zero past them."""
+    return (np.arange(lengths.max(initial=0)) < lengths[:, None]).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +227,6 @@ def k_functional_L1_Linf(v, t: float) -> float:
     return float(prefix[idx] + values[idx] * (tt - prev[idx]))
 
 
-# an overflow surfaces as a non-finite integral, reported without numpy warnings
-@np.errstate(over="ignore", invalid="ignore")
 def interpolation_norm_K(v, params: InterpParams) -> float:
     """``( integral_0^inf (t**(-theta) K(t))**r dt/t )**(1/r)``.
 
@@ -199,36 +238,71 @@ def interpolation_norm_K(v, params: InterpParams) -> float:
     panels, and the panels of all pieces are evaluated as one
     ``(panels, 16)`` node array.  With ``theta = 1 - 1/p`` this norm is
     equivalent to the Lorentz (p, r) norm, with equality of ratios across
-    dilates of a fixed profile.
+    dilates of a fixed profile.  The one-row case of :func:`_k_norm_rows`.
     """
-    theta, r = params.theta, params.r
     prof = rearrangement(v)
-    values, cum = prof.values, prof.cum_masses
-    if values.size == 0:
+    if prof.values.size == 0:
         return 0.0
-    prev = np.concatenate(([0.0], cum[:-1]))
-    prefix = np.cumsum(values * (cum - prev))
+    return _k_norm_rows(_one_profile(prof), params.theta, params.r)[0]
+
+
+# an overflow surfaces as a non-finite integral, reported without numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
+def _k_norm_rows(prof: _Profiles, theta: float, r: float) -> list[float]:
+    """:func:`interpolation_norm_K` of each profile row of ``prof``.
+
+    The panels of all interior pieces of all rows form one node array; each
+    row's quadrature sum is its own matrix product over its panels, and its
+    closed-form end pieces and root are Python-float operations, as they are
+    for the row alone."""
+    values, cum = prof.values, prof.cum
+    rows, width = values.shape
+    lengths = np.full(rows, width) if prof.lengths is None else prof.lengths
+    prev = np.zeros_like(cum)
+    prev[:, 1:] = cum[:, :-1]
+    prefix = np.cumsum(values * (cum - prev), axis=1)
 
     if r == _INF:
-        return float(np.max(cum ** (-theta) * prefix))
+        # a row repeats its last product past its length; an empty row gives 0
+        return (np.where(cum > 0.0, cum, 1.0) ** (-theta) * prefix).max(axis=1, initial=0.0).tolist()
 
-    total = values[0] ** r * cum[0] ** ((1.0 - theta) * r) / ((1.0 - theta) * r)
-    total += prefix[-1] ** r * cum[-1] ** (-theta * r) / (theta * r)
-    # interior piece i >= 1: K(t) = a + b*t on [S_{i-1}, S_i], u = ln t
-    b = values[1:]
-    a = prefix[:-1] - b * cum[:-1]
-    u0 = np.log(cum[:-1])
-    span = np.log(cum[1:]) - u0
+    # interior piece i >= 1 of a row: K(t) = a + b*t on [S_{i-1}, S_i], u = ln t
+    inner = np.arange(1, width) < lengths[:, None]
+    b = values[:, 1:][inner]
+    a = prefix[:, :-1][inner] - b * cum[:, :-1][inner]
+    u0 = np.log(cum[:, :-1][inner])
+    span = np.log(cum[:, 1:][inner]) - u0
     nseg = np.maximum(1, np.ceil(span / _LN2)).astype(np.int64)
     piece = np.repeat(np.arange(b.size), nseg)
     panel = np.arange(piece.size) - np.repeat(np.cumsum(nseg) - nseg, nseg)
     half = (span / (2 * nseg))[piece]
-    u = (u0[piece] + (2 * panel + 1) * half)[:, None] + half[:, None] * _GL_NODES
-    integrand = (a[piece, None] + b[piece, None] * np.exp(u)) ** r * np.exp(-theta * r * u)
-    total += float((integrand @ _GL_WEIGHTS) @ half)
-    if not math.isfinite(total):
-        raise ArithmeticError("interpolation integral diverged on this profile")
-    return total ** (1.0 / r)
+    # u and (a + b*e**u)**r * e**(-theta*r*u), formed in place to hold two node arrays at most
+    u = half[:, None] * _GL_NODES
+    u += (u0[piece] + (2 * panel + 1) * half)[:, None]
+    integrand = np.exp(u)
+    integrand *= b[piece, None]
+    integrand += a[piece, None]
+    integrand **= r
+    u *= -theta * r
+    integrand *= np.exp(u, out=u)
+    ends = np.cumsum(np.bincount(np.nonzero(inner)[0][piece], minlength=rows)).tolist()
+
+    norms = []
+    for n, v0, s0, k_end, s_end, lo, hi in zip(lengths.tolist(), values[:, 0].tolist(), cum[:, 0].tolist(),
+                                              prefix[:, -1].tolist(), cum[:, -1].tolist(), [0] + ends, ends):
+        if n == 0:
+            norms.append(0.0)
+            continue
+        try:
+            total = v0**r * s0 ** ((1.0 - theta) * r) / ((1.0 - theta) * r)
+            total += k_end**r * s_end ** (-theta * r) / (theta * r)
+        except OverflowError:
+            total = _INF
+        total += float((integrand[lo:hi] @ _GL_WEIGHTS) @ half[lo:hi])
+        if not math.isfinite(total):
+            raise ArithmeticError("interpolation integral diverged on this profile")
+        norms.append(total ** (1.0 / r))
+    return norms
 
 
 # ---------------------------------------------------------------------------
@@ -236,23 +310,41 @@ def interpolation_norm_K(v, params: InterpParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_sum(scales: np.ndarray, norms: np.ndarray, slope: float, r: float) -> float:
-    """``|| 2**(j*slope) * norms[j] ||_{l^r}`` over the positive norms, summed
-    in base-2 logs; 0 when no norm is positive."""
-    # a J-decomposition has a few pieces, so Python floats beat numpy calls here
-    exps = [j * slope + math.log2(n) for j, n in zip(scales.tolist(), norms.tolist()) if n > 0.0]
-    return 2.0 ** _power_sum_log2(np.array(exps), r) if exps else 0.0
+def _weighted_sums(owner: np.ndarray, scales: np.ndarray, norms: np.ndarray, count: int,
+                   slope: float, r: float) -> list[float]:
+    """``|| 2**(j*slope) * norms[j] ||_{l^r}`` over the positive norms of each
+    of ``count`` decompositions, decomposition ``i`` holding the pieces with
+    ``owner == i`` (ascending), summed in base-2 logs; 0 for a decomposition
+    without a positive norm."""
+    keep = norms > 0.0
+    # math.log2 and Python's pow keep the bits of a single decomposition
+    exps = [j * slope + math.log2(n) for j, n in zip(scales[keep].tolist(), norms[keep].tolist())]
+    counts = np.bincount(owner[keep], minlength=count)
+    live = np.flatnonzero(counts)
+    sums = [0.0] * count
+    logs = _power_sums_log2(_pad(np.array(exps), counts, -_INF)[live], counts[live], r)
+    for i, e in zip(live.tolist(), logs):
+        sums[i] = 2.0**e
+    return sums
+
+
+def _j_sums(owner: np.ndarray, scales: np.ndarray, norms0: np.ndarray, norms1: np.ndarray,
+            count: int, params: InterpParams) -> tuple[list[float], list[float]]:
+    """:func:`j_sum_functional` of each of ``count`` decompositions, whose
+    pieces are listed with their ``owner`` decomposition (ascending)."""
+    theta, r = params.theta, params.r
+    log_rho = math.log2(params.rho)
+    return (
+        _weighted_sums(owner, scales, norms0, count, -theta * log_rho, r),
+        _weighted_sums(owner, scales, norms1, count, (1.0 - theta) * log_rho, r),
+    )
 
 
 def j_sum_functional(d: JDecomposition, params: InterpParams) -> tuple[float, float]:
     """Weighted scale sums ``P = || rho**(-j*theta) * norms0[j] ||_{l^r}`` and
     ``Q = || rho**(j*(1-theta)) * norms1[j] ||_{l^r}`` (suprema when r = inf)."""
-    theta, r = params.theta, params.r
-    log_rho = math.log2(params.rho)
-    return (
-        _weighted_sum(d.scales, d.norms0, -theta * log_rho, r),
-        _weighted_sum(d.scales, d.norms1, (1.0 - theta) * log_rho, r),
-    )
+    (p_sum,), (q_sum,) = _j_sums(np.zeros(d.scales.size, dtype=np.int64), d.scales, d.norms0, d.norms1, 1, params)
+    return p_sum, q_sum
 
 
 def j_bound_constant(params: InterpParams) -> float:
@@ -290,10 +382,16 @@ def j_bound(d: JDecomposition, params: InterpParams) -> float:
     every decomposition; the bound is invariant under relabeling the piece
     indices by a common shift.
     """
-    p_sum, q_sum = j_sum_functional(d, params)
-    if p_sum == 0.0 or q_sum == 0.0:
-        return 0.0
-    return j_bound_constant(params) * p_sum ** (1.0 - params.theta) * q_sum**params.theta
+    return _j_bounds(np.zeros(d.scales.size, dtype=np.int64), d.scales, d.norms0, d.norms1, 1, params)[0]
+
+
+def _j_bounds(owner: np.ndarray, scales: np.ndarray, norms0: np.ndarray, norms1: np.ndarray,
+              count: int, params: InterpParams) -> list[float]:
+    """:func:`j_bound` of each of ``count`` decompositions, whose pieces are
+    listed with their ``owner`` decomposition (ascending)."""
+    constant, theta = j_bound_constant(params), params.theta
+    return [0.0 if p_sum == 0.0 or q_sum == 0.0 else constant * p_sum ** (1.0 - theta) * q_sum**theta
+            for p_sum, q_sum in zip(*_j_sums(owner, scales, norms0, norms1, count, params))]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +403,8 @@ def _threshold_index(d: np.ndarray, base: float = 2.0) -> np.ndarray:
     """Integers ``k`` with ``base**k < d <= base**(k+1)`` for each entry of the
     nonempty positive array ``d`` and ``base > 1``, exact under Python's float
     ``pow``: a logarithm puts each ``k`` within one of its estimate, and one
-    sorted table of ``base**j`` places every entry.
+    sorted table of ``base**j`` places every entry.  A block of rows makes
+    one call, so one table covers the whole range of its entries.
 
     ``np.power`` can differ from Python's ``pow`` in the last bit, which
     moves a value lying on a power of ``base`` into the next block, so the
@@ -321,21 +420,33 @@ def _threshold_index(d: np.ndarray, base: float = 2.0) -> np.ndarray:
     return lo - 1 + np.searchsorted(table, d)
 
 
-def _threshold_blocks(values: np.ndarray, prof: RearrangementProfile,
-                      base: float) -> tuple[np.ndarray, np.ndarray]:
-    """Increasing block indices ``ks`` (K,) and the ``(K, n)`` membership mask
-    of the entries ``values``, whose rearrangement is ``prof``: an entry whose
-    value has superlevel mass ``d`` joins block ``k`` with
-    ``base**k < d <= base**(k+1)``, zeros join the last block, and an input
-    without positive values has no blocks."""
-    if prof.values.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty((0, values.size), dtype=bool)
-    step_k = _threshold_index(prof.cum_masses, base)
-    # positive values match their step exactly; zeros sort past the last step
-    step = np.searchsorted(-prof.values, -values)
-    entry_k = step_k[np.minimum(step, step_k.size - 1)]
-    ks = np.unique(entry_k)
-    return ks, entry_k == ks[:, None]
+def _threshold_blocks(values: np.ndarray, lengths: np.ndarray, prof: _Profiles, base: float):
+    """Rank blocks of the rows of the zero-padded array ``values``, row ``i``
+    holding ``lengths[i]`` entries, whose rearrangements are the rows of
+    ``prof``: an entry whose value has superlevel mass ``d`` joins the block
+    ``k`` of its row with ``base**k < d <= base**(k+1)``, zeros join their
+    row's last block, and a row without positive values has no blocks.
+
+    Returns the row ``owner`` and index ``ks`` of every block, ordered by
+    row and then by increasing index, the ``(N, m)`` block number of every
+    entry (-1 where an entry joins no block), and the ``(blocks, m)`` values
+    of every block, each in its entries' places and zero elsewhere."""
+    rows, width = values.shape
+    steps = np.arange(width) < prof.lengths[:, None]
+    step_k = np.zeros((rows, width), dtype=np.int64)
+    if steps.any():
+        step_k[steps] = _threshold_index(prof.cum[steps], base)
+    # a block starts at each step whose index differs from the step before
+    first = steps.copy()
+    first[:, 1:] &= step_k[:, 1:] != step_k[:, :-1]
+    owner = np.nonzero(first)[0]
+    block_of_step = np.cumsum(first, axis=None).reshape(rows, width) - 1
+    last_step = np.maximum(prof.lengths - 1, 0)[:, None]
+    joins = (np.arange(width) < lengths[:, None]) & (prof.lengths[:, None] > 0)
+    entry_block = np.where(joins, np.take_along_axis(block_of_step, np.minimum(prof.step, last_step), axis=1), -1)
+    block_values = np.zeros((owner.size, width))
+    block_values[entry_block[joins], np.nonzero(joins)[1]] = values[joins]
+    return owner, step_k[first], entry_block, block_values
 
 
 def layer_cake_decompose(v: MeasuredValues) -> JDecomposition:
@@ -352,16 +463,22 @@ def layer_cake_decompose(v: MeasuredValues) -> JDecomposition:
     their support), in increasing scale order, so they recombine entrywise
     to ``v`` exactly.  A ``v`` without positive values has no pieces.
     """
-    return _layer_cake(v, rearrangement(v), *_L1_LINF)
+    values, masses = v.values[None, :], v.masses[None, :]
+    _, ks, pieces, norms0, norms1 = _layer_cake_rows(values, masses, np.array([v.values.size]),
+                                                     _profile_rows(values, masses), *_L1_LINF)
+    return JDecomposition(ks, pieces, v.masses, norms0, norms1)
 
 
-def _layer_cake(v: MeasuredValues, prof: RearrangementProfile, end0, end1) -> JDecomposition:
-    """Layer-cake pieces of ``v``, whose rearrangement is ``prof``, measured in
-    the endpoint spaces named by the exponent pairs ``end0`` and ``end1``."""
-    ks, mask = _threshold_blocks(v.values, prof, 2.0)
-    pieces = np.where(mask, v.values, 0.0)
-    return JDecomposition(ks, pieces, v.masses, _piece_norms(pieces, v.masses, *end0),
-                          _piece_norms(pieces, v.masses, *end1))
+def _layer_cake_rows(values: np.ndarray, masses: np.ndarray, lengths: np.ndarray, prof: _Profiles, end0, end1):
+    """Layer-cake pieces of each zero-padded row of ``values`` on ``masses``,
+    row ``i`` holding ``lengths[i]`` entries and rearranged in row ``i`` of
+    ``prof``, measured in the endpoint spaces named by the exponent pairs
+    ``end0`` and ``end1``: the ``owner`` row, scale, values and the two
+    endpoint norms of every piece, ordered by row and then by scale."""
+    owner, ks, _, pieces = _threshold_blocks(values, lengths, prof, 2.0)
+    piece_masses, piece_lengths = masses[owner], lengths[owner]
+    return (owner, ks, pieces, _piece_norms(pieces, piece_masses, *end0, piece_lengths),
+            _piece_norms(pieces, piece_masses, *end1, piece_lengths))
 
 
 def layer_cake_constant(p: float, r: float) -> float:
@@ -378,18 +495,24 @@ def layer_cake_constant(p: float, r: float) -> float:
     return 3.0 * 2.0 ** (1.0 / params.p) * log_factor
 
 
-def _layer_cake_sides(v: MeasuredValues, params: LorentzParams) -> tuple[float, float]:
-    """``(P + Q, C0 * lorentz_norm(v, params))`` for the layer-cake decomposition of ``v``."""
+def _layer_cake_sides(values: np.ndarray, masses: np.ndarray, lengths: np.ndarray,
+                      params: LorentzParams) -> tuple[list[float], list[float]]:
+    """``P + Q`` and ``C0 * lorentz_norm(v, params)`` for the layer-cake
+    decomposition of each zero-padded row ``v`` of ``values`` on ``masses``."""
     interp = InterpParams(1.0 - 1.0 / params.p, params.r, 2.0)
-    prof = rearrangement(v)
-    p_sum, q_sum = j_sum_functional(_layer_cake(v, prof, *_L1_LINF), interp)
-    return p_sum + q_sum, layer_cake_constant(params.p, params.r) * lorentz_norm(prof, params)
+    prof = _profile_rows(values, masses)
+    owner, ks, _, norms0, norms1 = _layer_cake_rows(values, masses, lengths, prof, *_L1_LINF)
+    p_sums, q_sums = _j_sums(owner, ks, norms0, norms1, lengths.size, interp)
+    constant = layer_cake_constant(params.p, params.r)
+    return [p + q for p, q in zip(p_sums, q_sums)], [constant * n for n in _lorentz_rows(prof, params.p, params.r)]
 
 
 def layer_cake_bound_ratio(v: MeasuredValues, params) -> float:
     """Ratio ``(P + Q) / (C0 * lorentz_norm(v, params))`` for the layer-cake
     decomposition of ``v``; at most 1 for every input."""
-    return _ratio(*_layer_cake_sides(v, _as_lorentz_params(params)))
+    (lhs,), (rhs,) = _layer_cake_sides(v.values[None, :], v.masses[None, :], np.array([v.values.size]),
+                                       _as_lorentz_params(params))
+    return _ratio(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +528,24 @@ def duality_pairing_check(f: MeasuredValues, g: MeasuredValues, p: float, r: flo
     ``1/p + 1/p' = 1`` and ``1/r + 1/r' = 1``."""
     if not f.aligned_with(g):
         raise ValueError("f and g must be aligned entrywise on the same measure space")
-    return _ratio(*_duality_sides(f, g, LorentzParams(p, r)))
+    (pairing,), (product,) = _duality_sides(f.values[None, :], g.values[None, :], f.masses[None, :], None,
+                                            LorentzParams(p, r))
+    return _ratio(pairing, product)
 
 
-def _duality_sides(f: MeasuredValues, g: MeasuredValues, params: LorentzParams) -> tuple[float, float]:
-    """``(integral f*g dmu, ||f||_{p,r} * ||g||_{p',r'})`` for aligned ``f`` and ``g``."""
+def _duality_sides(f: np.ndarray, g: np.ndarray, masses: np.ndarray, lengths,
+                   params: LorentzParams) -> tuple[list[float], list[float]]:
+    """``integral f*g dmu`` and ``||f||_{p,r} * ||g||_{p',r'}`` for each pair of
+    zero-padded rows of ``f`` and ``g`` on the rows of ``masses``, row ``i``
+    holding ``lengths[i]`` entries (every row full when ``lengths`` is None)."""
     dual = LorentzParams(conjugate_exponent(params.p), conjugate_exponent(params.r))
-    pairing = float(np.sum(f.values * g.values * f.masses))
-    return pairing, lorentz_norm(f, params) * lorentz_norm(g, dual)
+    pairings = _row_sums(f * g * masses, lengths).tolist()
+    prof = _profile_rows(np.concatenate((f, g)), np.concatenate((masses, masses)))
+    rows = len(f)
+    f_prof, g_prof = (_Profiles(prof.values[half], prof.cum[half], prof.lengths[half])
+                      for half in (slice(None, rows), slice(rows, None)))
+    products = [a * b for a, b in zip(_lorentz_rows(f_prof, params.p, params.r), _lorentz_rows(g_prof, dual.p, dual.r))]
+    return pairings, products
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +622,30 @@ def ell_partition(lam, q0: float, q1: float, r0: float) -> PartitionResult:
     mv = MeasuredValues.from_sequence(lam)
     if mv.values.size == 0:
         raise ValueError("empty sequence")
-    eta = (_inv(q0) - _inv(r0)) * sigma
-    ks, blocks = _threshold_blocks(mv.values, rearrangement(mv), 2.0**sigma)
-    block_vals = np.where(blocks, mv.values, 0.0)
-    beta = 2.0 ** (-ks * eta) * _grid_lp(block_vals, q0, 1.0, axis=1)
-    gamma = 2.0 ** (ks * (1.0 - eta)) * _grid_lp(block_vals, q1, 1.0, axis=1)
-    lhs = float(_grid_lp(beta, r0, 1.0) + _grid_lp(gamma, r0, 1.0))
-    bound = _partition_constant(q0, q1, r0, sigma) * float(_grid_lp(mv.values, r0, 1.0))
+    ks, entry_block, eta, beta, gamma, (lhs,), (bound,) = _partition_rows(
+        mv.values[None, :], np.array([mv.values.size]), q0, q1, r0, sigma)
+    blocks = entry_block[0] == np.arange(ks.size)[:, None]
     return PartitionResult(ks, blocks, eta, sigma, beta, gamma, lhs, bound, _ratio(lhs, bound))
+
+
+def _partition_rows(values: np.ndarray, lengths: np.ndarray, q0: float, q1: float, r0: float, sigma: float):
+    """Rank-threshold partition of each zero-padded row of ``values``, row
+    ``i`` holding the ``lengths[i]`` nonnegative entries of one sequence:
+    the block indices ``ks``, the ``(N, m)`` block number of every entry,
+    ``eta``, the weighted sums ``beta`` and ``gamma`` of every block, ordered
+    by row and then by index, and the lists of ``lhs`` and ``bound``."""
+    eta = (_inv(q0) - _inv(r0)) * sigma
+    prof = _profile_rows(values, _unit_masses(lengths))
+    owner, ks, entry_block, block_vals = _threshold_blocks(values, lengths, prof, 2.0**sigma)
+    block_lengths = lengths[owner]
+    beta = 2.0 ** (-ks * eta) * _grid_lp_rows(block_vals, q0, block_lengths)
+    gamma = 2.0 ** (ks * (1.0 - eta)) * _grid_lp_rows(block_vals, q1, block_lengths)
+    counts = np.bincount(owner, minlength=lengths.size)
+    lhs = [b + g for b, g in zip(_grid_lp_roots(_pad(beta, counts), r0, counts),
+                                 _grid_lp_roots(_pad(gamma, counts), r0, counts))]
+    constant = _partition_constant(q0, q1, r0, sigma)
+    bound = [constant * n for n in _grid_lp_roots(values, r0, lengths)]
+    return ks, entry_block, eta, beta, gamma, lhs, bound
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +678,12 @@ def reiteration_check(
     the ratios must stay within fixed positive bounds for the reiteration
     identity to hold numerically.
     """
-    return _suite_records(_reiteration_instance(p0, r0, p1, r1, theta, r), _draws(suite_size, seed))
+    return _run_suite(_reiteration_suite(p0, r0, p1, r1, theta, r), suite_size, seed)
 
 
-def _reiteration_instance(
-    p0: float, r0: float, p1: float, r1: float, theta: float, r: float
-) -> _Instance:
-    """Per-instance ``(lhs, rhs)`` function of :func:`reiteration_check`,
-    built after the exponents are validated."""
+def _reiteration_suite(p0: float, r0: float, p1: float, r1: float, theta: float, r: float):
+    """The ``(draw, sides)`` suite of :func:`reiteration_check`, built after
+    the exponents are validated."""
     theta = float(theta)
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
@@ -557,14 +704,19 @@ def _reiteration_instance(
     target = LorentzParams(target_p, r)
     ends = ((p0, r0), (p1, r1))
 
-    def instance(rng: np.random.Generator) -> tuple[float, float]:
-        v = MeasuredValues.from_sequence(_random_sequence(rng))
-        prof = rearrangement(v)
-        # lognormal values are positive, so the layer cake has pieces
-        candidates = trivial_decomposition(v, *ends), _layer_cake(v, prof, *ends)
-        return min(j_bound(d, params) for d in candidates), lorentz_norm(prof, target)
+    def sides(draws):
+        values, lengths = _pad_rows(draws)
+        masses = _unit_masses(lengths)
+        prof = _profile_rows(values, masses)
+        rows = lengths.size
+        single = _j_bounds(np.arange(rows), np.zeros(rows, dtype=np.int64),
+                           *(_piece_norms(values, masses, *end, lengths) for end in ends), rows, params)
+        # lognormal values are positive, so every layer cake has pieces
+        owner, ks, _, norms0, norms1 = _layer_cake_rows(values, masses, lengths, prof, *ends)
+        cake = _j_bounds(owner, ks, norms0, norms1, rows, params)
+        return [min(bounds) for bounds in zip(single, cake)], _lorentz_rows(prof, target.p, target.r)
 
-    return instance
+    return _random_sequence, sides
 
 
 # ---------------------------------------------------------------------------
@@ -576,74 +728,97 @@ def _random_sequence(rng: np.random.Generator) -> np.ndarray:
     return rng.lognormal(0.0, 1.5, int(rng.integers(3, 60)))
 
 
-def _random_step_values(rng: np.random.Generator) -> MeasuredValues:
+def _random_step_values(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     values = _random_sequence(rng)
-    return MeasuredValues(values, rng.uniform(0.1, 4.0, values.size))
+    return values, rng.uniform(0.1, 4.0, values.size)
 
 
-def _draws(suite_size: int, seed: int) -> list[np.random.Generator]:
-    """One generator seeded by ``seed``, listed ``suite_size >= 1`` times: the
-    instances of a check suite draw from it in turn."""
+def _run_suite(suite, suite_size: int, seed: int) -> list[dict]:
+    """Records of the ``suite_size >= 1`` instances of the ``(draw, sides)``
+    suite: the instances draw in turn from one generator seeded by ``seed``,
+    and are evaluated :data:`_BLOCK` at a time."""
     if suite_size < 1:
         raise ValueError("suite_size must be >= 1")
-    return [np.random.default_rng(np.random.SeedSequence(seed))] * suite_size
+    draw, sides = suite
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    def blocks():
+        for start in range(0, suite_size, _BLOCK):
+            yield from zip(*sides([draw(rng) for _ in range(min(_BLOCK, suite_size - start))]))
+
+    return _suite_records(lambda pair: pair, blocks())
 
 
-def _k_equivalence_instance(p, r, q0, q1, theta) -> _Instance:
+def _padded_step_values(draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero-padded values and masses of the ``(values, masses)`` draws, and their lengths."""
+    values, lengths = _pad_rows([values for values, _ in draws])
+    return values, _pad_rows([masses for _, masses in draws])[0], lengths
+
+
+def _k_equivalence_suite(p, r, q0, q1, theta):
     target = LorentzParams(p, r)
     params = InterpParams(1.0 - 1.0 / target.p, target.r)
 
-    def instance(rng):
-        prof = rearrangement(_random_step_values(rng))
-        return interpolation_norm_K(prof, params), lorentz_norm(prof, target)
+    def sides(draws):
+        values, masses, _ = _padded_step_values(draws)
+        prof = _profile_rows(values, masses)
+        return _k_norm_rows(prof, params.theta, params.r), _lorentz_rows(prof, target.p, target.r)
 
-    return instance
+    return _random_step_values, sides
 
 
-def _layer_cake_instance(p, r, q0, q1, theta) -> _Instance:
+def _layer_cake_suite(p, r, q0, q1, theta):
     target = LorentzParams(p, r)
-    return lambda rng: _layer_cake_sides(_random_step_values(rng), target)
+    return _random_step_values, lambda draws: _layer_cake_sides(*_padded_step_values(draws), target)
 
 
-def _duality_instance(p, r, q0, q1, theta) -> _Instance:
+def _duality_suite(p, r, q0, q1, theta):
     params = LorentzParams(p, r)
 
-    def instance(rng):
+    def draw(rng):
         size = int(rng.integers(3, 60))
         masses = rng.uniform(0.1, 4.0, size)
-        f = MeasuredValues(rng.lognormal(0.0, 1.0, size), masses)
-        g = MeasuredValues(rng.lognormal(0.0, 1.0, size), masses)
-        return _duality_sides(f, g, params)
+        return rng.lognormal(0.0, 1.0, size), rng.lognormal(0.0, 1.0, size), masses
 
-    return instance
+    def sides(draws):
+        f, lengths = _pad_rows([f for f, _, _ in draws])
+        g, _ = _pad_rows([g for _, g, _ in draws])
+        masses, _ = _pad_rows([masses for _, _, masses in draws])
+        return _duality_sides(f, g, masses, lengths, params)
 
-
-def _partition_instance(p, r, q0, q1, theta) -> _Instance:
-    q0, q1, r, _ = _partition_exponents(q0, q1, r, "r")
-
-    def instance(rng):
-        size = int(rng.integers(5, 120))
-        result = ell_partition(rng.lognormal(0.0, 1.5, size), q0, q1, r)
-        return result.lhs, result.bound
-
-    return instance
+    return draw, sides
 
 
-def _reiteration_suite_instance(p, r, q0, q1, theta) -> _Instance:
+def _partition_suite(p, r, q0, q1, theta):
+    q0, q1, r, sigma = _partition_exponents(q0, q1, r, "r")
+
+    def draw(rng):
+        return rng.lognormal(0.0, 1.5, int(rng.integers(5, 120)))
+
+    def sides(draws):
+        values, lengths = _pad_rows(draws)
+        return _partition_rows(values, lengths, q0, q1, r, sigma)[-2:]
+
+    return draw, sides
+
+
+def _reiteration_check_suite(p, r, q0, q1, theta):
     q0, q1 = _check_exponent("q0", q0), _check_exponent("q1", q1)
     r0 = 1.0 if q0 == 1.0 else r
     r1 = _INF if q1 == _INF else r
-    return _reiteration_instance(q0, r0, q1, r1, theta, r)
+    return _reiteration_suite(q0, r0, q1, r1, theta, r)
 
 
-# check name -> builder of its per-instance function, called once per suite
-# with the keyword options of :func:`run_interp_suite`, in ``interp --check`` order
+# check name -> builder of its ``(draw, sides)`` suite, called once per run with
+# the keyword options of :func:`run_interp_suite`, in ``interp --check`` order:
+# ``draw(rng)`` makes the random input of one instance and ``sides(draws)``
+# gives the lists of lhs and rhs of a block of such inputs
 CHECKS = {
-    "k-equivalence": _k_equivalence_instance,
-    "layer-cake": _layer_cake_instance,
-    "partition": _partition_instance,
-    "duality": _duality_instance,
-    "reiteration": _reiteration_suite_instance,
+    "k-equivalence": _k_equivalence_suite,
+    "layer-cake": _layer_cake_suite,
+    "partition": _partition_suite,
+    "duality": _duality_suite,
+    "reiteration": _reiteration_check_suite,
 }
 
 
@@ -661,6 +836,9 @@ def run_interp_suite(
     """Run one interpolation check over a seeded random suite of
     ``suite_size >= 1`` instances.
 
+    The instances are drawn one at a time from one generator seeded by
+    ``seed`` and evaluated in blocks of zero-padded rows (see the module
+    docstring); every record has the bits of its instance evaluated alone.
     Returns records ``{instance_id, lhs, rhs, ratio}``:
 
     - ``k-equivalence``: lhs = weighted K-norm at ``theta = 1 - 1/p``,
@@ -677,5 +855,4 @@ def run_interp_suite(
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
-    instance = CHECKS[check](p=p, r=r, q0=q0, q1=q1, theta=theta)
-    return _suite_records(instance, _draws(suite_size, seed))
+    return _run_suite(CHECKS[check](p=p, r=r, q0=q0, q1=q1, theta=theta), suite_size, seed)

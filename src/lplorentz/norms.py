@@ -69,11 +69,19 @@ def _power_sum_log2(exps, r: float) -> float:
     """``log2 (sum_i 2**(r*e_i))**(1/r)`` for base-2 exponents ``e_i``, the
     ``l^r`` norm of ``2**e`` in log form: ``m + log2(sum_i 2**(r*(e_i - m)))/r``
     with ``m = max_i e_i``, so no power leaves the float range.  ``r = inf``
-    gives ``m``."""
-    m = float(np.max(exps))
+    gives ``m``.  The one-row case of :func:`_power_sums_log2`."""
+    return _power_sums_log2(np.asarray(exps, dtype=float)[None, :], None, r)[0]
+
+
+def _power_sums_log2(exps: np.ndarray, counts, r: float) -> list[float]:
+    """:func:`_power_sum_log2` of each row ``exps[i, :counts[i]]`` of the 2-D
+    ``exps``, padded with ``-inf`` (of every full row when ``counts`` is
+    None), as Python floats.  Every row holds at least one exponent."""
+    tops = exps.max(axis=1, initial=-_INF)
     if r == _INF:
-        return m
-    return m + math.log2(float(np.sum(2.0 ** (r * (exps - m))))) / r
+        return tops.tolist()
+    sums = _row_sums(2.0 ** (r * (exps - tops[:, None])), counts).tolist()
+    return [m + math.log2(s) / r for m, s in zip(tops.tolist(), sums)]
 
 
 def conjugate_exponent(r: float) -> float:
@@ -216,9 +224,14 @@ def rearrangement(v: MeasuredValues) -> RearrangementProfile:
     """
     if isinstance(v, RearrangementProfile):
         return v
-    pos = v.values > 0
-    values = v.values[pos]
-    masses = v.masses[pos]
+    return _rearranged(v.values, v.masses)
+
+
+def _rearranged(values: np.ndarray, masses: np.ndarray) -> RearrangementProfile:
+    """Step profile of the nonnegative 1-D ``values`` carrying ``masses``."""
+    pos = values > 0
+    values = values[pos]
+    masses = masses[pos]
     order = np.argsort(values)[::-1]
     return _profile_from_sorted(values[order], masses[order])
 
@@ -229,7 +242,8 @@ def _profile_from_sorted(values: np.ndarray, masses: np.ndarray) -> Rearrangemen
 
     Only input with ties builds the step index and runs ``reduceat``; on
     tie-free input every step is one entry, for which ``reduceat`` would be
-    the identity, so both cases give the same bits.
+    the identity, so both cases give the same bits.  An overflowing total
+    mass is reported by the profile's ``ValueError``, without a numpy warning.
     """
     if values.size == 0:
         return RearrangementProfile(np.empty(0), np.empty(0))
@@ -240,7 +254,82 @@ def _profile_from_sorted(values: np.ndarray, masses: np.ndarray) -> Rearrangemen
         starts = np.flatnonzero(new_step)
         values = values[starts]
         masses = np.add.reduceat(masses, starts)
-    return RearrangementProfile(values, np.cumsum(masses))
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(masses)
+    return RearrangementProfile(values, cum)
+
+
+@dataclass(eq=False)
+class _Profiles:
+    """Step profiles held as rows: row ``i`` is the profile with values
+    ``values[i, :lengths[i]]`` and cumulative masses ``cum[i, :lengths[i]]``;
+    past its length a row holds value 0 and its total mass.  ``lengths`` None
+    means every row is full.  ``step[i, j]``, when present, is the profile
+    step of entry ``j`` of the input row ``i``, and ``lengths[i]`` for a zero."""
+
+    values: np.ndarray
+    cum: np.ndarray
+    lengths: np.ndarray | None
+    step: np.ndarray | None = None
+
+
+def _one_profile(prof: RearrangementProfile) -> _Profiles:
+    return _Profiles(prof.values[None, :], prof.cum_masses[None, :], None)
+
+
+def _row_sums(a: np.ndarray, lengths, power: float | None = None) -> np.ndarray:
+    """``np.sum(a[i, :lengths[i]])`` for each row ``i`` of the 2-D ``a``, all of
+    each row when ``lengths`` is None; the sums of the entries raised to
+    ``power``, when given, which is raised one group of rows at a time.
+
+    A pairwise sum depends on its length, so a zero-padded row need not sum
+    to the bits of its unpadded row; rows of equal length are summed as one
+    C-contiguous block, whose row sums are the 1-D sums bit for bit.
+    """
+    if lengths is None:
+        return (a if power is None else a**power).sum(axis=1)
+    out = np.empty(lengths.size)
+    # the lengths present, without np.unique, whose first call imports numpy.ma
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
+        rows = np.flatnonzero(lengths == n)
+        group = a[rows, :n]
+        out[rows] = (group if power is None else group**power).sum(axis=1)
+    return out
+
+
+def _profile_rows(values: np.ndarray, masses: np.ndarray) -> _Profiles:
+    """Decreasing rearrangements of the rows of the zero-padded ``(N, m)``
+    arrays ``values`` (nonnegative) and ``masses``, with the profile step of
+    every entry: the row kernel of the interpolation checks.
+
+    One sort along the rows orders every row; a row without ties keeps its
+    sorted positive prefix as its profile, which is what
+    :func:`rearrangement` gives it.  Ties merge by summing masses, whose
+    order the sort does not fix, so only a row with ties goes through
+    :func:`_profile_from_sorted`, sorted as :func:`rearrangement` sorts it.
+    """
+    order = np.argsort(values, axis=1)[:, ::-1]
+    vals = np.take_along_axis(values, order, axis=1)
+    new_step = np.empty(vals.shape, dtype=bool)
+    new_step[:, :1] = True
+    np.not_equal(vals[:, 1:], vals[:, :-1], out=new_step[:, 1:])
+    step = np.empty(vals.shape, dtype=np.int64)
+    np.put_along_axis(step, order, np.cumsum(new_step, axis=1) - 1, axis=1)
+    positive = vals > 0.0
+    lengths = positive.sum(axis=1)
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(np.where(positive, np.take_along_axis(masses, order, axis=1), 0.0), axis=1)
+    tied = (positive[:, 1:] & ~new_step[:, 1:]).any(axis=1)
+    # a row with ties is checked as a RearrangementProfile below
+    increasing = ((cum[:, 1:] > cum[:, :-1]) | ~positive[:, 1:]).all(axis=1)
+    if cum.shape[1] and not (tied | increasing & np.isfinite(cum[:, -1])).all():
+        raise ValueError("cumulative masses must be finite, strictly increasing and positive")
+    for i in np.flatnonzero(tied).tolist():
+        prof = _rearranged(values[i], masses[i])
+        n = lengths[i] = prof.values.size
+        vals[i, :n], vals[i, n:] = prof.values, 0.0
+        cum[i, :n], cum[i, n:] = prof.cum_masses, prof.cum_masses[-1]
+    return _Profiles(vals, cum, lengths, step)
 
 
 def _as_lorentz_params(params) -> LorentzParams:
@@ -258,7 +347,9 @@ def _power_root(power_sum, x: np.ndarray, p: float, diverged: str, axis=None):
     ``x`` divided by that slice's largest entry, and that maximum multiplies
     the root back; where that root leaves the float range too, it raises
     ``ArithmeticError(diverged.format(p=p))``.  Callers run it with overflow
-    and invalid warnings off, so only that error reports an overflow.
+    and invalid warnings off, so only that error reports an overflow.  The
+    row kernel :func:`_lorentz_rows` takes the plain root of each row itself
+    and sends here, one row at a time, only the rows whose sums are not normal.
     """
     if axis is None:  # a scalar compare spares two reductions on this per-call path
         total = float(power_sum(x))
@@ -277,12 +368,45 @@ def _power_root(power_sum, x: np.ndarray, p: float, diverged: str, axis=None):
     return norm
 
 
+def _lorentz_rows(prof: _Profiles, p: float, r: float) -> list[float]:
+    """Lorentz ``(p, r)`` norm of each profile row of ``prof``, as Python floats.
+
+    Each piece contributes ``value**r * (p/r) * (S_i**(r/p) - S_{i-1}**(r/p))``,
+    with the powers ``S_i**(r/p)`` formed once per row and differenced in
+    place; a row past its length adds nothing.  Each row's sum is taken over
+    its length (see :func:`_row_sums`) and its root as a Python float, which
+    :func:`_power_root` redoes on the rescaled row when the sum is not a
+    normal float.  For ``r = inf`` the norm is ``max_i value_i * S_i**(1/p)``.
+    A norm that leaves the float range raises ``ArithmeticError``.
+    """
+    diverged = "Lorentz integral diverged on this profile"
+    # an overflow surfaces as a non-finite norm, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if r == _INF:
+            norms = (prof.values * prof.cum ** (1.0 / p)).max(axis=1, initial=0.0).tolist()
+            # NaN fails the compare
+            if not all(norm < _INF for norm in norms):
+                raise ArithmeticError(diverged)
+            return norms
+        steps = prof.cum ** (r / p)
+        steps[:, 1:] -= steps[:, :-1]
+        norms = _row_sums(prof.values**r * (p / r) * steps, prof.lengths).tolist()
+        for i, total in enumerate(norms):
+            if _TINY <= total < _INF:
+                norms[i] = total ** (1.0 / r)
+            else:
+                n = prof.values.shape[1] if prof.lengths is None else prof.lengths[i]
+                row_steps = steps[i, :n]
+                norms[i] = _power_root(lambda x: np.sum(x**r * (p / r) * row_steps), prof.values[i, :n], r, diverged)
+    return norms
+
+
 def lorentz_norm(v, params) -> float:
     """Lorentz norm ``( integral (s**(1/p) f*(s))**r ds/s )**(1/r)``.
 
-    Evaluated exactly on the step rearrangement: each piece contributes
-    ``value**r * (p/r) * (S_i**(r/p) - S_{i-1}**(r/p))``, where the powers
-    ``S_i**(r/p)`` are computed once and differenced in place.  For ``r = inf``
+    Evaluated exactly on the step rearrangement, as the one-row case of the
+    row kernel :func:`_lorentz_rows`: each piece contributes
+    ``value**r * (p/r) * (S_i**(r/p) - S_{i-1}**(r/p))``.  For ``r = inf``
     the norm is ``sup_s s**(1/p) f*(s) = max_i value_i * S_i**(1/p)``, the
     weak-type norm.  A finite-``r`` sum that leaves the normal float range is
     redone on the values divided by the largest one (see
@@ -291,21 +415,9 @@ def lorentz_norm(v, params) -> float:
     """
     params = _as_lorentz_params(params)
     prof = rearrangement(v)
-    values, cum = prof.values, prof.cum_masses
-    if values.size == 0:
+    if prof.values.size == 0:
         return 0.0
-    p, r = params.p, params.r
-    diverged = "Lorentz integral diverged on this profile"
-    # an overflow surfaces as a non-finite norm, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        if r < _INF:
-            steps = cum ** (r / p)
-            steps[1:] -= steps[:-1]
-            return _power_root(lambda x: np.sum(x**r * (p / r) * steps), values, r, diverged)
-        norm = float(np.max(values * cum ** (1.0 / p)))
-    if not math.isfinite(norm):
-        raise ArithmeticError(diverged)
-    return norm
+    return _lorentz_rows(_one_profile(prof), params.p, params.r)[0]
 
 
 def lorentz_normalization(p: float, r: float) -> float:
@@ -372,6 +484,31 @@ def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None):
         return _power_root(lambda x: np.sum(x**p, axis=axis) * cell_volume, a, p, diverged, axis)
 
 
+def _grid_lp_rows(a: np.ndarray, p: float, lengths: np.ndarray) -> np.ndarray:
+    """``_grid_lp(a[i:i+1, :lengths[i]], p, 1.0, axis=1)`` of every row ``i`` of
+    the zero-padded 2-D ``a``, as one array: each row keeps the bits it has
+    alone (see :func:`_row_sums`), and a row whose sum is not a normal float
+    is redone alone."""
+    if p == _INF:  # the zero padding leaves every maximum alone
+        return _grid_lp(a, p, 1.0, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = _row_sums(a, lengths, p)
+        norms = totals ** (1.0 / p)
+    for i in np.flatnonzero(~((totals >= _TINY) & (totals < _INF))).tolist():
+        norms[i] = _grid_lp(a[i:i + 1, :lengths[i]], p, 1.0, axis=1)[0]
+    return norms
+
+
+def _grid_lp_roots(a: np.ndarray, p: float, lengths: np.ndarray) -> list[float]:
+    """``float(_grid_lp(a[i, :lengths[i]], p, 1.0))`` of every row ``i`` of the
+    zero-padded 2-D ``a``, for finite ``p``: Python-float roots of the row sums,
+    and a row whose sum is not a normal float redone alone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = _row_sums(a, lengths, p).tolist()
+    return [total ** (1.0 / p) if _TINY <= total < _INF else float(_grid_lp(a[i, :lengths[i]], p, 1.0))
+            for i, total in enumerate(totals)]
+
+
 def _as_besov_params(params) -> BesovParams:
     if isinstance(params, BesovParams):
         return params
@@ -383,15 +520,17 @@ def besov_seminorm(d: BlockDecomposition, params) -> float:
 
     ``q = inf`` takes the supremum over scales.  The lowpass field does not
     contribute, so constant fields have seminorm zero.  A sum that leaves the
-    float range, or a weight ``2**(j*s)`` that does, raises ``ArithmeticError``,
-    here and in :func:`triebel_seminorm`.
+    float range, or a weight ``2**(j*s)`` that does on a nonzero block,
+    raises ``ArithmeticError``, here and in :func:`triebel_seminorm`; a zero
+    block adds 0 whatever its weight.
     """
     params = _as_besov_params(params)
     rows = np.abs(d.blocks.reshape(d.blocks.shape[0], -1))
     block_norms = _grid_lp(rows, params.p, d.grid.cell_volume, axis=1)
-    # an overflowing weight surfaces as a non-finite scale sum, reported there
+    # an overflowing weight surfaces as a non-finite scale sum, reported there;
+    # a zero block adds nothing, whatever its weight
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = 2.0 ** (d.scales * params.s) * block_norms
+        weighted = np.where(block_norms > 0.0, 2.0 ** (d.scales * params.s) * block_norms, 0.0)
     return float(_grid_lp(weighted, params.q, 1.0))
 
 
@@ -404,8 +543,9 @@ def triebel_seminorm(d: BlockDecomposition, params) -> float:
     """
     params = _as_besov_params(params)
     rows = np.abs(d.blocks.reshape(d.blocks.shape[0], -1))
-    # an overflowing weight surfaces as a non-finite scale sum, reported there
+    # an overflowing weight surfaces as a non-finite scale sum, reported there;
+    # a zero entry adds nothing, whatever its weight
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = rows * 2.0 ** (d.scales * params.s)[:, None]
+        weighted = np.where(rows > 0.0, rows * 2.0 ** (d.scales * params.s)[:, None], 0.0)
     envelope = _grid_lp(weighted, params.q, 1.0, axis=0)
     return float(_grid_lp(envelope, params.p, d.grid.cell_volume))

@@ -6,11 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_step_values
 from lplorentz.interpolation import (
+    CHECKS,
     InterpParams,
     JDecomposition,
     duality_pairing_check,
@@ -33,6 +34,7 @@ from lplorentz.interpolation import _GL_NODES, _GL_WEIGHTS, _threshold_index
 from lplorentz.norms import (
     LorentzParams,
     MeasuredValues,
+    conjugate_exponent,
     lebesgue_norm,
     lorentz_norm,
     lorentz_normalization,
@@ -708,16 +710,24 @@ class TestInterpSuiteRunner:
         [("k-equivalence", 1), ("layer-cake", 1), ("duality", 2), ("partition", 1), ("reiteration", 1)],
     )
     def test_one_sort_per_input(self, check, inputs, monkeypatch):
-        sorts = []
-        profile_from_sorted = norms._profile_from_sorted
+        # a suite sorts its rows in the block kernel, one sort per call over
+        # all its rows, and sorts a row alone only on the way to
+        # _profile_from_sorted: together they sort each input row once
+        block_rows, single_rows = [], []
+        profile_rows, profile_from_sorted = interpolation._profile_rows, norms._profile_from_sorted
 
-        def counted(values, masses):
-            sorts.append(values.size)
+        def counted_block(values, masses):
+            block_rows.append(values.shape[0])
+            return profile_rows(values, masses)
+
+        def counted_single(values, masses):
+            single_rows.append(values.size)
             return profile_from_sorted(values, masses)
 
-        monkeypatch.setattr(norms, "_profile_from_sorted", counted)
+        monkeypatch.setattr(interpolation, "_profile_rows", counted_block)
+        monkeypatch.setattr(norms, "_profile_from_sorted", counted_single)
         run_interp_suite(check, suite_size=200, seed=3)
-        assert len(sorts) == 200 * inputs
+        assert sum(block_rows) + len(single_rows) == 200 * inputs
 
     def test_partition_order_error_names_r_before_any_draw(self, monkeypatch):
         def no_draws(*args):
@@ -727,3 +737,126 @@ class TestInterpSuiteRunner:
         for flags in ({"r": 1.0}, {"q0": 3.0}, {"q1": 1.0}):
             with pytest.raises(ValueError, match=r"^need q0 < r < q1 "):
                 run_interp_suite("partition", suite_size=5, seed=0, **flags)
+
+
+SUITE_EXPONENTS = ((2.0, 2.0), (1.5, 2.5), (3.0, 1.3), (2.0, INF))
+CHECK_NAMES = tuple(CHECKS)
+# partition needs q0 < r < q1, so r = inf exits 2 before any draw
+SUITE_CASES = [(check, p, r) for check in CHECK_NAMES for p, r in SUITE_EXPONENTS
+               if not (check == "partition" and r == INF)]
+LORENTZ_REITERATION = {"r": 2.5, "q0": 1.5, "q1": 6.0, "theta": 0.7}
+
+
+def plain_draw(check: str, rng: np.random.Generator):
+    """The random input of one instance of ``check``, drawn as each check
+    draws it, in the same order."""
+    if check == "partition":
+        return rng.lognormal(0.0, 1.5, int(rng.integers(5, 120)))
+    if check == "duality":
+        size = int(rng.integers(3, 60))
+        masses = rng.uniform(0.1, 4.0, size)
+        return rng.lognormal(0.0, 1.0, size), rng.lognormal(0.0, 1.0, size), masses
+    values = rng.lognormal(0.0, 1.5, int(rng.integers(3, 60)))
+    return values if check == "reiteration" else (values, rng.uniform(0.1, 4.0, values.size))
+
+
+def endpoint_norms(pieces: np.ndarray, masses: np.ndarray, end) -> np.ndarray:
+    """Norm of each piece in the endpoint space named by the pair ``end``,
+    one single-input call per piece."""
+    p, r = end
+    if p in (1.0, INF):
+        return np.array([lebesgue_norm(MeasuredValues(row, masses), p) for row in pieces])
+    return np.array([lorentz_norm(MeasuredValues(row, masses), (p, r)) for row in pieces])
+
+
+def plain_sides(check: str, draw, p=2.0, r=2.0, q0=1.0, q1=INF, theta=0.5) -> tuple[float, float]:
+    """``(lhs, rhs)`` of one instance of ``check`` from the public
+    single-input functions."""
+    if check == "k-equivalence":
+        v = MeasuredValues(*draw)
+        return interpolation_norm_K(v, InterpParams(1.0 - 1.0 / p, r)), lorentz_norm(v, (p, r))
+    if check == "layer-cake":
+        v = MeasuredValues(*draw)
+        p_sum, q_sum = j_sum_functional(layer_cake_decompose(v), InterpParams(1.0 - 1.0 / p, r, 2.0))
+        return p_sum + q_sum, layer_cake_constant(p, r) * lorentz_norm(v, (p, r))
+    if check == "partition":
+        result = ell_partition(draw, q0, q1, r)
+        return result.lhs, result.bound
+    if check == "duality":
+        f_values, g_values, masses = draw
+        f, g = MeasuredValues(f_values, masses), MeasuredValues(g_values, masses)
+        dual = (conjugate_exponent(p), conjugate_exponent(r))
+        return float(np.sum(f.values * g.values * masses)), lorentz_norm(f, (p, r)) * lorentz_norm(g, dual)
+    # reiteration between (q0, r0) and (q1, r1), second exponents pinned to L1 and Linf
+    v = MeasuredValues.from_sequence(draw)
+    ends = ((q0, 1.0 if q0 == 1.0 else r), (q1, INF if q1 == INF else r))
+    inv_q1 = 0.0 if q1 == INF else 1.0 / q1
+    target_p = 1.0 / ((1.0 - theta) * (1.0 / q0) + theta * inv_q1)
+    params = InterpParams(theta, r, 2.0 ** (1.0 / q0 - inv_q1))
+    cake = layer_cake_decompose(v)
+    candidates = (
+        trivial_decomposition(v, *ends),
+        JDecomposition(cake.scales, cake.pieces, v.masses,
+                       *(endpoint_norms(cake.pieces, v.masses, end) for end in ends)),
+    )
+    return min(j_bound(d, params) for d in candidates), lorentz_norm(v, (target_p, r))
+
+
+def plain_records(check: str, suite_size: int, seed: int, **options) -> list[dict]:
+    """Records of a suite of ``check`` evaluated one instance at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    records = []
+    for instance_id in range(suite_size):
+        lhs, rhs = plain_sides(check, plain_draw(check, rng), **options)
+        records.append({"instance_id": instance_id, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs})
+    return records
+
+
+@st.composite
+def tie_heavy_block(draw, check: str):
+    """A block of inputs of ``check`` whose values come from a 3-element set,
+    and for the partition from that set and 0, so that rows tie often."""
+    pool = draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=3, max_size=3))
+    if check == "partition":
+        pool.append(0.0)
+
+    def values(n):
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+    def masses(n):
+        return np.array(draw(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=n, max_size=n)))
+
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=10))
+    if check in ("partition", "reiteration"):
+        return [values(n) for n in sizes]
+    if check == "duality":
+        return [(values(n), values(n), masses(n)) for n in sizes]
+    return [(values(n), masses(n)) for n in sizes]
+
+
+class TestBlockPathBits:
+    """A suite is evaluated a block of padded rows at a time; its records must
+    equal, bit for bit, a plain loop over the public single-input functions."""
+
+    @pytest.mark.parametrize("size", [1, 7, 200])
+    @pytest.mark.parametrize("check, p, r", SUITE_CASES)
+    def test_seeded_suites_equal_a_plain_loop(self, check, p, r, size):
+        got = run_interp_suite(check, p=p, r=r, suite_size=size, seed=size)
+        assert got == plain_records(check, size, size, p=p, r=r)
+
+    @pytest.mark.parametrize("size", [1, 7, 200])
+    def test_reiteration_between_lorentz_endpoints(self, size):
+        got = run_interp_suite("reiteration", suite_size=size, seed=4, **LORENTZ_REITERATION)
+        assert got == plain_records("reiteration", size, 4, **LORENTZ_REITERATION)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.sampled_from(CHECK_NAMES), st.sampled_from(SUITE_EXPONENTS),
+           st.sampled_from([{"q0": 1.0, "q1": INF, "theta": 0.5}, {"q0": 1.5, "q1": 6.0, "theta": 0.7}]))
+    def test_tie_heavy_blocks_equal_a_plain_loop(self, data, check, exponents, endpoints):
+        p, r = exponents
+        assume(not (check == "partition" and r == INF))
+        options = {"p": p, "r": r, **(endpoints if check == "reiteration" else {})}
+        block = data.draw(tie_heavy_block(check))
+        _, sides = CHECKS[check](**{"q0": 1.0, "q1": INF, "theta": 0.5, **options})
+        lhs, rhs = sides(block)
+        assert list(zip(lhs, rhs)) == [plain_sides(check, draw, **options) for draw in block]

@@ -25,7 +25,7 @@ from lplorentz.norms import (
     rearrangement,
     triebel_seminorm,
 )
-from lplorentz.norms import _grid_lp, _power_sum_log2, _profile_from_sorted
+from lplorentz.norms import _grid_lp, _power_sum_log2, _profile_from_sorted, _profile_rows
 from lplorentz.spectral import GridSpec, SampledField, decompose, lowest_scale_for_dc_only
 
 INF = math.inf
@@ -212,6 +212,17 @@ class TestRearrangement:
         assert prof.distribution(2.5) == 1.0
         assert prof.distribution(0.5) == 3.0
         assert prof.distribution(4.0) == 0.0
+
+    def test_overflowing_total_mass_raises_without_runtime_warning(self):
+        # the masses are finite, their sum is not: the single-input path and
+        # the row kernel both report it as the profile's ValueError
+        v = MeasuredValues(np.array([1.0, 2.0]), np.array([1e308, 1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^cumulative masses must be finite"):
+                rearrangement(v)
+            with pytest.raises(ValueError, match="^cumulative masses must be finite"):
+                _profile_rows(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, 1.0], [1e308, 1e308]]))
 
 
 class TestTieMerge:
@@ -507,6 +518,19 @@ class TestBlockSpaceSeminorms:
         d = decompose(SampledField(grid, np.zeros(256)), 0, 6)
         assert besov_seminorm(d, BesovParams(0.5, 2.0, 2.0)) == 0.0
         assert triebel_seminorm(d, BesovParams(0.5, 2.0, 2.0)) == 0.0
+
+    @pytest.mark.parametrize("seminorm", [besov_seminorm, triebel_seminorm])
+    def test_zero_blocks_add_nothing_under_an_overflowing_weight(self, seminorm):
+        # the weight 2**(200*j) leaves the float range from j = 6 on: a zero
+        # block adds 0 under it, and only a nonzero block diverges
+        grid = GridSpec(1, 256, TWO_PI)
+        zero = decompose(SampledField(grid, np.zeros(256)), 0, 6)
+        top = decompose(SampledField(grid, np.cos(64.0 * grid.axis_coordinates())), 0, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert seminorm(zero, BesovParams(200.0, 2.0, 2.0)) == 0.0
+            with pytest.raises(ArithmeticError, match=r"^l\^2 sum diverged"):
+                seminorm(top, BesovParams(200.0, 2.0, 2.0))
 
     @pytest.mark.parametrize(
         "seminorm, params",
