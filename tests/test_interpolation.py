@@ -860,3 +860,22 @@ class TestBlockPathBits:
         _, sides = CHECKS[check](**{"q0": 1.0, "q1": INF, "theta": 0.5, **options})
         lhs, rhs = sides(block)
         assert list(zip(lhs, rhs)) == [plain_sides(check, draw, **options) for draw in block]
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 6.0])
+    def test_rescued_padded_rows_keep_their_one_row_bits(self, p):
+        # rows scaled by 1e-200 and 1e200 have power sums that underflow or
+        # overflow, so every row is redone on its rescaled values; the zero
+        # padding must not change a row's bits
+        rng = np.random.default_rng(7)
+        rows = [rng.lognormal(0.0, 1.5, int(rng.integers(5, 120))) * scale for scale in (1e-200, 1e200) * 6]
+        lengths = np.array([row.size for row in rows])
+        a = interpolation._pad(np.concatenate(rows), lengths)
+        with np.errstate(over="ignore", under="ignore"):
+            assert not any(1e-300 < np.sum(row**p) < 1e300 for row in rows)
+        got = norms._grid_lp_rows(a, p, lengths)
+        assert got.tolist() == [norms._grid_lp(a[i:i + 1, :n], p, 1.0, axis=1)[0] for i, n in enumerate(lengths)]
+        # and the partition block they form gives each row's records alone
+        options = {"p": 2.0, "r": 3.0, "q0": 2.0, "q1": 6.0}
+        _, sides = CHECKS["partition"](theta=0.5, **options)
+        lhs, rhs = sides(rows)
+        assert list(zip(lhs, rhs)) == [plain_sides("partition", row, **options) for row in rows]
