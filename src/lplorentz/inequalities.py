@@ -17,7 +17,7 @@ the segment of valid dual positions.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,9 +361,6 @@ def generate_field(generator: str, rng: np.random.Generator, grid: GridSpec) -> 
 # Suite runner
 # ---------------------------------------------------------------------------
 
-# one instance of a suite: draws its inputs from the generator, returns ``(lhs, rhs)``
-_Instance = Callable[[np.random.Generator], tuple[float, float]]
-
 
 def _ratio(lhs: float, rhs: float) -> float:
     """``lhs / rhs`` with ``0 / 0 = 0``; a zero ``rhs`` under a positive ``lhs``
@@ -373,11 +370,9 @@ def _ratio(lhs: float, rhs: float) -> float:
     return 0.0 if rhs == 0.0 else lhs / rhs
 
 
-def _suite_records(instance: _Instance, rngs: Iterable[np.random.Generator]) -> list[dict]:
-    """Records ``{instance_id, lhs, rhs, ratio}`` of one call of ``instance``
-    per generator in ``rngs``: the one record loop of ``verify`` and ``interp``,
-    whose blocks pass their ``(lhs, rhs)`` pairs with an identity ``instance``."""
-    sides = (instance(rng) for rng in rngs)
+def _suite_records(sides: Iterable[tuple[float, float]]) -> list[dict]:
+    """Records ``{instance_id, lhs, rhs, ratio}`` of the ``(lhs, rhs)`` pairs
+    ``sides``, in order: the one record loop of ``verify`` and ``interp``."""
     return [{"instance_id": i, "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)} for i, (lhs, rhs) in enumerate(sides)]
 
 
@@ -401,11 +396,9 @@ def run_suite(
         raise ValueError("count must be >= 1")
     grid = make_suite_grid(grid_points, generator)
     j_min, j_max = _suite_scale_range(generator, grid)
-
-    def instance(rng: np.random.Generator) -> tuple[float, float]:
-        return verify_case(case, decompose(generate_field(generator, rng, grid), j_min, j_max))
-
-    records = _suite_records(instance, map(np.random.default_rng, np.random.SeedSequence(seed).spawn(count)))
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(count))
+    records = _suite_records(verify_case(case, decompose(generate_field(generator, rng, grid), j_min, j_max))
+                             for rng in rngs)
     for rec in records:
         rec["generator_descriptor"] = f"{generator}[instance={rec['instance_id']}, seed={seed}, grid={grid_points}]"
     return records

@@ -14,9 +14,10 @@ measures the pieces of every J-decomposition in endpoint spaces ``L^{p,r}``
 named by exponent pairs ``(p, r)``.
 
 Each check suite in :data:`CHECKS` draws its random instances one at a time,
-in a fixed order from one seeded generator, and evaluates them in blocks of
-:data:`_BLOCK` instances held as zero-padded ``(N, m)`` rows with their
-lengths: one sort orders all rows (the row kernel of
+in a fixed order from one seeded generator, each a tuple of equal-length 1-D
+arrays.  The runner pads each column of a block of :data:`_BLOCK` instances
+once into zero-padded ``(N, m)`` rows and evaluates the block on them and
+their lengths: one sort orders all rows (the row kernel of
 :mod:`lplorentz.norms`), and every sum is taken over each row's true length,
 so a record has the bits of its instance evaluated alone.  The public
 single-input functions are the one-row case of the same code.  Records come
@@ -44,8 +45,8 @@ from .norms import (
     _as_lorentz_params,
     _check_exponent,
     _compose,
+    _grid_lp,
     _grid_lp_roots,
-    _grid_lp_rows,
     _inv,
     _lorentz_rows,
     _one_profile,
@@ -188,12 +189,6 @@ def _pad(x: np.ndarray, counts: np.ndarray, fill: float = 0.0) -> np.ndarray:
     out = np.full((counts.size, counts.max(initial=0)), fill)
     out[np.arange(out.shape[1]) < counts[:, None]] = x
     return out
-
-
-def _pad_rows(rows) -> tuple[np.ndarray, np.ndarray]:
-    """The 1-D arrays ``rows`` as one zero-padded array, and their lengths."""
-    lengths = np.array([row.size for row in rows])
-    return _pad(np.concatenate(rows), lengths), lengths
 
 
 def _unit_masses(lengths: np.ndarray) -> np.ndarray:
@@ -638,8 +633,8 @@ def _partition_rows(values: np.ndarray, lengths: np.ndarray, q0: float, q1: floa
     prof = _profile_rows(values, _unit_masses(lengths))
     owner, ks, entry_block, block_vals = _threshold_blocks(values, lengths, prof, 2.0**sigma)
     block_lengths = lengths[owner]
-    beta = 2.0 ** (-ks * eta) * _grid_lp_rows(block_vals, q0, block_lengths)
-    gamma = 2.0 ** (ks * (1.0 - eta)) * _grid_lp_rows(block_vals, q1, block_lengths)
+    beta = 2.0 ** (-ks * eta) * _grid_lp(block_vals, q0, 1.0, axis=1, lengths=block_lengths)
+    gamma = 2.0 ** (ks * (1.0 - eta)) * _grid_lp(block_vals, q1, 1.0, axis=1, lengths=block_lengths)
     counts = np.bincount(owner, minlength=lengths.size)
     lhs = [b + g for b, g in zip(_grid_lp_roots(_pad(beta, counts), r0, counts),
                                  _grid_lp_roots(_pad(gamma, counts), r0, counts))]
@@ -704,8 +699,7 @@ def _reiteration_suite(p0: float, r0: float, p1: float, r1: float, theta: float,
     target = LorentzParams(target_p, r)
     ends = ((p0, r0), (p1, r1))
 
-    def sides(draws):
-        values, lengths = _pad_rows(draws)
+    def sides(values, lengths):
         masses = _unit_masses(lengths)
         prof = _profile_rows(values, masses)
         rows = lengths.size
@@ -724,12 +718,12 @@ def _reiteration_suite(p0: float, r0: float, p1: float, r1: float, theta: float,
 # ---------------------------------------------------------------------------
 
 
-def _random_sequence(rng: np.random.Generator) -> np.ndarray:
-    return rng.lognormal(0.0, 1.5, int(rng.integers(3, 60)))
+def _random_sequence(rng: np.random.Generator) -> tuple[np.ndarray]:
+    return (rng.lognormal(0.0, 1.5, int(rng.integers(3, 60))),)
 
 
 def _random_step_values(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    values = _random_sequence(rng)
+    (values,) = _random_sequence(rng)
     return values, rng.uniform(0.1, 4.0, values.size)
 
 
@@ -744,23 +738,24 @@ def _run_suite(suite, suite_size: int, seed: int) -> list[dict]:
 
     def blocks():
         for start in range(0, suite_size, _BLOCK):
-            yield from zip(*sides([draw(rng) for _ in range(min(_BLOCK, suite_size - start))]))
+            yield from zip(*_block_sides(sides, [draw(rng) for _ in range(min(_BLOCK, suite_size - start))]))
 
-    return _suite_records(lambda pair: pair, blocks())
+    return _suite_records(blocks())
 
 
-def _padded_step_values(draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero-padded values and masses of the ``(values, masses)`` draws, and their lengths."""
-    values, lengths = _pad_rows([values for values, _ in draws])
-    return values, _pad_rows([masses for _, masses in draws])[0], lengths
+def _block_sides(sides, draws):
+    """``sides`` of a block of ``draws``, each a tuple of equal-length 1-D
+    arrays: every column of the block zero-padded into one ``(N, m)`` array,
+    then the lengths of its rows."""
+    lengths = np.array([draw[0].size for draw in draws])
+    return sides(*(_pad(np.concatenate(column), lengths) for column in zip(*draws)), lengths)
 
 
 def _k_equivalence_suite(p, r, q0, q1, theta):
     target = LorentzParams(p, r)
     params = InterpParams(1.0 - 1.0 / target.p, target.r)
 
-    def sides(draws):
-        values, masses, _ = _padded_step_values(draws)
+    def sides(values, masses, lengths):
         prof = _profile_rows(values, masses)
         return _k_norm_rows(prof, params.theta, params.r), _lorentz_rows(prof, target.p, target.r)
 
@@ -769,7 +764,7 @@ def _k_equivalence_suite(p, r, q0, q1, theta):
 
 def _layer_cake_suite(p, r, q0, q1, theta):
     target = LorentzParams(p, r)
-    return _random_step_values, lambda draws: _layer_cake_sides(*_padded_step_values(draws), target)
+    return _random_step_values, lambda *block: _layer_cake_sides(*block, target)
 
 
 def _duality_suite(p, r, q0, q1, theta):
@@ -780,26 +775,16 @@ def _duality_suite(p, r, q0, q1, theta):
         masses = rng.uniform(0.1, 4.0, size)
         return rng.lognormal(0.0, 1.0, size), rng.lognormal(0.0, 1.0, size), masses
 
-    def sides(draws):
-        f, lengths = _pad_rows([f for f, _, _ in draws])
-        g, _ = _pad_rows([g for _, g, _ in draws])
-        masses, _ = _pad_rows([masses for _, _, masses in draws])
-        return _duality_sides(f, g, masses, lengths, params)
-
-    return draw, sides
+    return draw, lambda *block: _duality_sides(*block, params)
 
 
 def _partition_suite(p, r, q0, q1, theta):
     q0, q1, r, sigma = _partition_exponents(q0, q1, r, "r")
 
     def draw(rng):
-        return rng.lognormal(0.0, 1.5, int(rng.integers(5, 120)))
+        return (rng.lognormal(0.0, 1.5, int(rng.integers(5, 120))),)
 
-    def sides(draws):
-        values, lengths = _pad_rows(draws)
-        return _partition_rows(values, lengths, q0, q1, r, sigma)[-2:]
-
-    return draw, sides
+    return draw, lambda values, lengths: _partition_rows(values, lengths, q0, q1, r, sigma)[-2:]
 
 
 def _reiteration_check_suite(p, r, q0, q1, theta):
@@ -811,8 +796,9 @@ def _reiteration_check_suite(p, r, q0, q1, theta):
 
 # check name -> builder of its ``(draw, sides)`` suite, called once per run with
 # the keyword options of :func:`run_interp_suite`, in ``interp --check`` order:
-# ``draw(rng)`` makes the random input of one instance and ``sides(draws)``
-# gives the lists of lhs and rhs of a block of such inputs
+# ``draw(rng)`` makes the random input of one instance as a tuple of equal-length
+# 1-D arrays, and ``sides(*columns, lengths)`` gives the lists of lhs and rhs of
+# a block of them, each column zero-padded into one ``(N, m)`` array
 CHECKS = {
     "k-equivalence": _k_equivalence_suite,
     "layer-cake": _layer_cake_suite,

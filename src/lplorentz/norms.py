@@ -467,13 +467,15 @@ def lebesgue_norm(v: MeasuredValues, p: float) -> float:
                            "Lebesgue integral diverged on these values")
 
 
-def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None):
+def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None, lengths=None):
     """Grid ``L^p`` norm of the nonnegative array ``a``, reduced over ``axis``;
     with ``cell_volume = 1`` it is the ``l^p`` norm of every block and sequence
-    sum.  A sum that leaves the normal float range is redone on its row or
-    column divided by that slice's largest entry (see
-    :func:`_power_root`); a norm that leaves the float range raises
-    ``ArithmeticError``."""
+    sum.  With ``lengths``, ``a`` is 2-D and zero-padded, row ``i`` holding
+    ``lengths[i]`` entries, and ``axis = 1``: each row keeps the bits it has
+    alone (see :func:`_row_sums`).  A sum that leaves the normal float range
+    is redone on its row or column divided by that slice's largest entry (see
+    :func:`_power_root`), which the zero padding leaves alone; a norm that
+    leaves the float range raises ``ArithmeticError``."""
     diverged = "l^{p:g} sum diverged: a power left the float range"
     if p == _INF:
         norm = a.max(axis=axis, initial=0.0)
@@ -481,22 +483,9 @@ def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None):
             raise ArithmeticError(diverged.format(p=p))
         return norm
     with np.errstate(over="ignore", invalid="ignore"):
-        return _power_root(lambda x: np.sum(x**p, axis=axis) * cell_volume, a, p, diverged, axis)
-
-
-def _grid_lp_rows(a: np.ndarray, p: float, lengths: np.ndarray) -> np.ndarray:
-    """``_grid_lp(a[i:i+1, :lengths[i]], p, 1.0, axis=1)`` of every row ``i`` of
-    the zero-padded 2-D ``a``, as one array: each row keeps the bits it has
-    alone (see :func:`_row_sums`), and a row whose sum is not a normal float
-    is redone alone."""
-    if p == _INF:  # the zero padding leaves every maximum alone
-        return _grid_lp(a, p, 1.0, axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = _row_sums(a, lengths, p)
-        norms = totals ** (1.0 / p)
-    for i in np.flatnonzero(~((totals >= _TINY) & (totals < _INF))).tolist():
-        norms[i] = _grid_lp(a[i:i + 1, :lengths[i]], p, 1.0, axis=1)[0]
-    return norms
+        if lengths is None:
+            return _power_root(lambda x: np.sum(x**p, axis=axis) * cell_volume, a, p, diverged, axis)
+        return _power_root(lambda x: _row_sums(x, lengths, p) * cell_volume, a, p, diverged, axis)
 
 
 def _grid_lp_roots(a: np.ndarray, p: float, lengths: np.ndarray) -> list[float]:

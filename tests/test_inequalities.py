@@ -222,7 +222,7 @@ class TestVerifyCase:
         lhs, rhs = verify_case(case, d)
         assert rhs == 0.0 < lhs
         with pytest.raises(ArithmeticError, match="^zero right side with positive left side "):
-            inequalities._suite_records(lambda rng: verify_case(case, d), [None])
+            inequalities._suite_records([verify_case(case, d)])
 
 
 class TestAdmissibilitySegment:
@@ -421,7 +421,7 @@ class TestSuiteRunner:
 
     def test_runner_calls_the_instance_once_per_generator(self):
         rngs = [np.random.default_rng(seed) for seed in (4, 5, 4)]
-        records = inequalities._suite_records(lambda rng: (rng.random(), 2.0), rngs)
+        records = inequalities._suite_records((rng.random(), 2.0) for rng in rngs)
         draws = [np.random.default_rng(seed).random() for seed in (4, 5, 4)]
         assert records == [
             {"instance_id": i, "lhs": draw, "rhs": 2.0, "ratio": draw / 2.0} for i, draw in enumerate(draws)

@@ -751,13 +751,13 @@ def plain_draw(check: str, rng: np.random.Generator):
     """The random input of one instance of ``check``, drawn as each check
     draws it, in the same order."""
     if check == "partition":
-        return rng.lognormal(0.0, 1.5, int(rng.integers(5, 120)))
+        return (rng.lognormal(0.0, 1.5, int(rng.integers(5, 120))),)
     if check == "duality":
         size = int(rng.integers(3, 60))
         masses = rng.uniform(0.1, 4.0, size)
         return rng.lognormal(0.0, 1.0, size), rng.lognormal(0.0, 1.0, size), masses
     values = rng.lognormal(0.0, 1.5, int(rng.integers(3, 60)))
-    return values if check == "reiteration" else (values, rng.uniform(0.1, 4.0, values.size))
+    return (values,) if check == "reiteration" else (values, rng.uniform(0.1, 4.0, values.size))
 
 
 def endpoint_norms(pieces: np.ndarray, masses: np.ndarray, end) -> np.ndarray:
@@ -780,7 +780,7 @@ def plain_sides(check: str, draw, p=2.0, r=2.0, q0=1.0, q1=INF, theta=0.5) -> tu
         p_sum, q_sum = j_sum_functional(layer_cake_decompose(v), InterpParams(1.0 - 1.0 / p, r, 2.0))
         return p_sum + q_sum, layer_cake_constant(p, r) * lorentz_norm(v, (p, r))
     if check == "partition":
-        result = ell_partition(draw, q0, q1, r)
+        result = ell_partition(*draw, q0, q1, r)
         return result.lhs, result.bound
     if check == "duality":
         f_values, g_values, masses = draw
@@ -788,7 +788,7 @@ def plain_sides(check: str, draw, p=2.0, r=2.0, q0=1.0, q1=INF, theta=0.5) -> tu
         dual = (conjugate_exponent(p), conjugate_exponent(r))
         return float(np.sum(f.values * g.values * masses)), lorentz_norm(f, (p, r)) * lorentz_norm(g, dual)
     # reiteration between (q0, r0) and (q1, r1), second exponents pinned to L1 and Linf
-    v = MeasuredValues.from_sequence(draw)
+    v = MeasuredValues.from_sequence(*draw)
     ends = ((q0, 1.0 if q0 == 1.0 else r), (q1, INF if q1 == INF else r))
     inv_q1 = 0.0 if q1 == INF else 1.0 / q1
     target_p = 1.0 / ((1.0 - theta) * (1.0 / q0) + theta * inv_q1)
@@ -828,7 +828,7 @@ def tie_heavy_block(draw, check: str):
 
     sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=10))
     if check in ("partition", "reiteration"):
-        return [values(n) for n in sizes]
+        return [(values(n),) for n in sizes]
     if check == "duality":
         return [(values(n), values(n), masses(n)) for n in sizes]
     return [(values(n), masses(n)) for n in sizes]
@@ -858,7 +858,7 @@ class TestBlockPathBits:
         options = {"p": p, "r": r, **(endpoints if check == "reiteration" else {})}
         block = data.draw(tie_heavy_block(check))
         _, sides = CHECKS[check](**{"q0": 1.0, "q1": INF, "theta": 0.5, **options})
-        lhs, rhs = sides(block)
+        lhs, rhs = interpolation._block_sides(sides, block)
         assert list(zip(lhs, rhs)) == [plain_sides(check, draw, **options) for draw in block]
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 6.0])
@@ -872,10 +872,10 @@ class TestBlockPathBits:
         a = interpolation._pad(np.concatenate(rows), lengths)
         with np.errstate(over="ignore", under="ignore"):
             assert not any(1e-300 < np.sum(row**p) < 1e300 for row in rows)
-        got = norms._grid_lp_rows(a, p, lengths)
+        got = norms._grid_lp(a, p, 1.0, axis=1, lengths=lengths)
         assert got.tolist() == [norms._grid_lp(a[i:i + 1, :n], p, 1.0, axis=1)[0] for i, n in enumerate(lengths)]
         # and the partition block they form gives each row's records alone
         options = {"p": 2.0, "r": 3.0, "q0": 2.0, "q1": 6.0}
         _, sides = CHECKS["partition"](theta=0.5, **options)
-        lhs, rhs = sides(rows)
-        assert list(zip(lhs, rhs)) == [plain_sides("partition", row, **options) for row in rows]
+        lhs, rhs = interpolation._block_sides(sides, [(row,) for row in rows])
+        assert list(zip(lhs, rhs)) == [plain_sides("partition", (row,), **options) for row in rows]
