@@ -238,7 +238,9 @@ def _rearranged(values: np.ndarray, masses: np.ndarray) -> RearrangementProfile:
 
 def _profile_from_sorted(values: np.ndarray, masses: np.ndarray) -> RearrangementProfile:
     """Step profile of positive ``values`` already sorted in decreasing order:
-    equal values merge into one step carrying their summed mass.
+    equal values merge into one step carrying their summed mass, and a step
+    whose mass the running sum absorbs (below half an ulp of it) has zero
+    width, so it merges into the step above.
 
     Only input with ties builds the step index and runs ``reduceat``; on
     tie-free input every step is one entry, for which ``reduceat`` would be
@@ -256,6 +258,11 @@ def _profile_from_sorted(values: np.ndarray, masses: np.ndarray) -> Rearrangemen
         masses = np.add.reduceat(masses, starts)
     with np.errstate(over="ignore"):
         cum = np.cumsum(masses)
+    grows = np.empty(cum.size, dtype=bool)
+    grows[0] = True
+    np.greater(cum[1:], cum[:-1], out=grows[1:])
+    if not grows.all():
+        values, cum = values[grows], cum[grows]
     return RearrangementProfile(values, cum)
 
 
@@ -305,8 +312,10 @@ def _profile_rows(values: np.ndarray, masses: np.ndarray) -> _Profiles:
     One sort along the rows orders every row; a row without ties keeps its
     sorted positive prefix as its profile, which is what
     :func:`rearrangement` gives it.  Ties merge by summing masses, whose
-    order the sort does not fix, so only a row with ties goes through
-    :func:`_profile_from_sorted`, sorted as :func:`rearrangement` sorts it.
+    order the sort does not fix, so only a row with ties, or with a mass its
+    running sum absorbs, goes through :func:`_profile_from_sorted`, sorted as
+    :func:`rearrangement` sorts it; an entry of a merged step takes the step
+    it merged into.  Only a total mass that is not finite raises.
     """
     order = np.argsort(values, axis=1)[:, ::-1]
     vals = np.take_along_axis(values, order, axis=1)
@@ -319,16 +328,17 @@ def _profile_rows(values: np.ndarray, masses: np.ndarray) -> _Profiles:
     lengths = positive.sum(axis=1)
     with np.errstate(over="ignore"):
         cum = np.cumsum(np.where(positive, np.take_along_axis(masses, order, axis=1), 0.0), axis=1)
-    tied = (positive[:, 1:] & ~new_step[:, 1:]).any(axis=1)
-    # a row with ties is checked as a RearrangementProfile below
-    increasing = ((cum[:, 1:] > cum[:, :-1]) | ~positive[:, 1:]).all(axis=1)
-    if cum.shape[1] and not (tied | increasing & np.isfinite(cum[:, -1])).all():
+    merged = (positive[:, 1:] & ~(new_step[:, 1:] & (cum[:, 1:] > cum[:, :-1]))).any(axis=1)
+    # a merged row is checked as a RearrangementProfile below
+    if cum.shape[1] and not (merged | np.isfinite(cum[:, -1])).all():
         raise ValueError("cumulative masses must be finite, strictly increasing and positive")
-    for i in np.flatnonzero(tied).tolist():
+    for i in np.flatnonzero(merged).tolist():
         prof = _rearranged(values[i], masses[i])
         n = lengths[i] = prof.values.size
         vals[i, :n], vals[i, n:] = prof.values, 0.0
         cum[i, :n], cum[i, n:] = prof.cum_masses, prof.cum_masses[-1]
+        stepped = np.searchsorted(-prof.values, -values[i], side="right") - 1
+        step[i] = np.where(values[i] > 0.0, stepped, n)
     return _Profiles(vals, cum, lengths, step)
 
 

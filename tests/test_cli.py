@@ -648,6 +648,15 @@ class TestSharpnessCommand:
         assert int(rows[-1][0]) == int(l_max)
         assert payload["slopes"]["lorentz_lower"] == pytest.approx(0.5, rel=0.03)
 
+    def test_masses_absorbed_by_the_running_sum_are_not_bad_input(self, capsys):
+        # at r0 = r1 = 1 and q1 = 3 some sorted entries of the sweep carry
+        # masses below half an ulp of the running sum; their steps merge into
+        # the ones above
+        code = main(["sharpness", "--alpha", "0.25", "--beta", "0.25", "--q0", "1", "--q1", "3",
+                     "--r0", "1", "--r1", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+
     def test_float_range_exhaustion_is_runtime_failure(self, capsys):
         # At scale 2048 the counts 2**(delta*j) = 2**(j/2) overflow before any
         # norm is evaluated: a runtime failure (exit 1) naming that scale, not

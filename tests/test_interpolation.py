@@ -178,6 +178,12 @@ class TestKFunctional:
 
 
 class TestInterpolationNormK:
+    def test_absorbed_masses_merge_into_the_step_above(self):
+        # the masses 1 fall below half an ulp of 1e20: the input is the one step 3 on mass 1e20
+        v = MeasuredValues(np.array([3.0, 2.0, 1.0]), np.array([1e20, 1.0, 1.0]))
+        params = InterpParams(0.5, 2.0)
+        assert interpolation_norm_K(v, params) == interpolation_norm_K(MeasuredValues([3.0], [1e20]), params)
+
     def test_overflow_raises_without_runtime_warning(self):
         v = MeasuredValues(np.array([40.0, 3.0]), np.array([1.0, 2.0]))
         with warnings.catch_warnings():
@@ -418,6 +424,23 @@ class TestDualityPairing:
         # a zero pairing over a zero norm product is 0, as the CLI's duality check records it
         zero = MeasuredValues(np.array([0.0]), np.array([1.0]))
         assert duality_pairing_check(f, zero, 2.0, 2.0) == 0.0
+
+
+class TestLayerCakeAbsorbedMass:
+    def test_absorbed_masses_join_the_step_above(self):
+        v = MeasuredValues(np.array([3.0, 2.0, 1.0]), np.array([1e20, 1.0, 1.0]))
+        d = layer_cake_decompose(v)
+        assert d.scales.tolist() == [66]  # 2**66 < 1e20 <= 2**67
+        assert d.pieces.tolist() == [[3.0, 2.0, 1.0]]
+        assert (d.norms0.tolist(), d.norms1.tolist()) == ([3e20], [3.0])
+
+    def test_absorbed_entries_keep_their_superlevel_mass(self):
+        # {v >= 3} and {v >= 2} have the mass 1e20 of {v >= 4}, in block 66;
+        # {v >= 1} has mass 2e20, in block 67
+        v = MeasuredValues(np.array([4.0, 3.0, 2.0, 1.0]), np.array([1e20, 1.0, 1.0, 1e20]))
+        d = layer_cake_decompose(v)
+        assert d.scales.tolist() == [66, 67]
+        assert d.pieces.tolist() == [[4.0, 3.0, 2.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
 
 
 class TestRankPartition:

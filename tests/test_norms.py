@@ -225,6 +225,31 @@ class TestRearrangement:
                 _profile_rows(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, 1.0], [1e308, 1e308]]))
 
 
+class TestAbsorbedMass:
+    """A mass below half an ulp of the running sum leaves the cumulative mass
+    unchanged: its step has zero width and merges into the step above."""
+
+    V = MeasuredValues(np.array([3.0, 2.0, 1.0]), np.array([1e20, 1.0, 1.0]))
+
+    def test_rearrangement_drops_the_zero_width_steps(self):
+        prof = rearrangement(self.V)
+        assert prof.values.tolist() == [3.0]
+        assert prof.cum_masses.tolist() == [1e20]
+
+    def test_row_kernel_gives_the_same_profile(self):
+        values = np.array([[1.0, 3.0, 2.0, 0.0], [3.0, 2.0, 1.0, 0.0]])
+        masses = np.array([[1.0, 1.0, 1.0, 0.0], [1e20, 1.0, 1.0, 0.0]])
+        prof = _profile_rows(values, masses)
+        assert prof.lengths.tolist() == [3, 1]
+        assert prof.values[1].tolist() == [3.0, 0.0, 0.0, 0.0]
+        assert prof.cum[1].tolist() == [1e20] * 4
+        # every positive entry of the merged row takes the one step left; a zero takes the length
+        assert prof.step[1].tolist() == [0, 0, 0, 1]
+
+    def test_lorentz_norm_equals_lebesgue_norm(self):
+        assert lorentz_norm(self.V, (2.0, 2.0)) == lebesgue_norm(self.V, 2.0) == 3e10
+
+
 class TestTieMerge:
     @settings(max_examples=300, deadline=None)
     @given(tied_or_tie_free())
