@@ -676,15 +676,18 @@ def reiteration_check(
     return _run_suite(_reiteration_suite(p0, r0, p1, r1, theta, r), suite_size, seed)
 
 
-def _reiteration_suite(p0: float, r0: float, p1: float, r1: float, theta: float, r: float):
+def _reiteration_suite(p0: float, r0: float, p1: float, r1: float, theta: float, r: float,
+                       names=("p0", "p1", "theta")):
     """The ``(draw, sides)`` suite of :func:`reiteration_check`, built after
-    the exponents are validated."""
+    the exponents are validated; a ``ValueError`` calls ``p0``, ``p1`` and
+    ``theta`` by ``names``."""
     theta = float(theta)
     if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
+        raise ValueError(f"{names[2]} must lie in (0, 1), got {theta!r}")
+    given = ", ".join(f"{name}={value!r}" for name, value in zip(names, (p0, p1, theta)))
     target_p = _compose(theta, p0, p1)
     if not 1.0 < target_p < _INF:
-        raise ValueError(f"composed exponent p={target_p!r} outside (1, inf)")
+        raise ValueError(f"{given} compose p={target_p!r}, outside (1, inf)")
     if p0 == p1:
         composed_inv_r = _inv(_compose(theta, r0, r1))
         if abs(_inv(r) - composed_inv_r) > 1e-12:
@@ -695,6 +698,11 @@ def _reiteration_suite(p0: float, r0: float, p1: float, r1: float, theta: float,
         rho = 2.0
     else:
         rho = 2.0 ** (_inv(p0) - _inv(p1))
+    # j_bound_constant divides by 1 - base**(-theta) and base**(1-theta) - 1
+    base = max(rho, 1.0 / rho)
+    if not base ** (-theta) < 1.0 < base ** (1.0 - theta):
+        raise ValueError(f"{given} leave no bound constant: for the grid base rho={rho!r}, "
+                         "rho**theta or rho**(1-theta) rounds to 1")
     params = InterpParams(theta, r, rho)
     target = LorentzParams(target_p, r)
     ends = ((p0, r0), (p1, r1))
@@ -751,9 +759,19 @@ def _block_sides(sides, draws):
     return sides(*(_pad(np.concatenate(column), lengths) for column in zip(*draws)), lengths)
 
 
-def _k_equivalence_suite(p, r, q0, q1, theta):
+def _k_params(p, r) -> tuple[LorentzParams, InterpParams]:
+    """``L^{p,r}`` and the parameters ``theta = 1 - 1/p`` and ``r`` of the
+    K-norm equivalent to it; a ``ValueError`` names ``--p`` when ``theta``
+    rounds to 1."""
     target = LorentzParams(p, r)
-    params = InterpParams(1.0 - 1.0 / target.p, target.r)
+    theta = 1.0 - 1.0 / target.p
+    if theta == 1.0:
+        raise ValueError(f"--p={target.p!r} is too large: theta = 1 - 1/p rounds to 1")
+    return target, InterpParams(theta, target.r)
+
+
+def _k_equivalence_suite(p, r, q0, q1, theta):
+    target, params = _k_params(p, r)
 
     def sides(values, masses, lengths):
         prof = _profile_rows(values, masses)
@@ -763,12 +781,14 @@ def _k_equivalence_suite(p, r, q0, q1, theta):
 
 
 def _layer_cake_suite(p, r, q0, q1, theta):
-    target = LorentzParams(p, r)
+    target, _ = _k_params(p, r)
     return _random_step_values, lambda *block: _layer_cake_sides(*block, target)
 
 
 def _duality_suite(p, r, q0, q1, theta):
     params = LorentzParams(p, r)
+    if conjugate_exponent(params.p) == 1.0:
+        raise ValueError(f"--p={params.p!r} is too large: its conjugate p/(p-1) rounds to 1")
 
     def draw(rng):
         size = int(rng.integers(3, 60))
@@ -791,7 +811,7 @@ def _reiteration_check_suite(p, r, q0, q1, theta):
     q0, q1 = _check_exponent("q0", q0), _check_exponent("q1", q1)
     r0 = 1.0 if q0 == 1.0 else r
     r1 = _INF if q1 == _INF else r
-    return _reiteration_suite(q0, r0, q1, r1, theta, r)
+    return _reiteration_suite(q0, r0, q1, r1, theta, r, ("--q0", "--q1", "--theta"))
 
 
 # check name -> builder of its ``(draw, sides)`` suite, called once per run with

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import lplorentz
+from lplorentz import interpolation
 from lplorentz.cli import emit_report, main
 from lplorentz.interpolation import CHECKS
 from lplorentz.norms import LorentzParams, MeasuredValues, lorentz_norm
@@ -454,6 +455,39 @@ class TestInterpCommand:
     )
     def test_bad_exponent_names_its_flag(self, flags, message, capsys):
         assert main(["interp", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["k-equivalence", "--p", "1e300"], "--p=1e+300 is too large: theta = 1 - 1/p rounds to 1"),
+            (["layer-cake", "--p", "1e300"], "--p=1e+300 is too large: theta = 1 - 1/p rounds to 1"),
+            (["duality", "--p", "1e300"], "--p=1e+300 is too large: its conjugate p/(p-1) rounds to 1"),
+            (["reiteration", "--theta", "1e-300"],
+             "--q0=1.0, --q1=inf, --theta=1e-300 compose p=1.0, outside (1, inf)"),
+            (["reiteration", "--q1", "1"], "--q0=1.0, --q1=1.0, --theta=0.5 compose p=1.0, outside (1, inf)"),
+            (["reiteration", "--q0", "inf"], "--q0=inf, --q1=inf, --theta=0.5 compose p=inf, outside (1, inf)"),
+            (["reiteration", "--q0", "1e300"],
+             "--q0=1e+300, --q1=inf, --theta=0.5 leave no bound constant: for the grid base rho=1.0, "
+             "rho**theta or rho**(1-theta) rounds to 1"),
+            (["reiteration", "--theta", "0.9999999999999999"],
+             "--q0=1.0, --q1=inf, --theta=0.9999999999999999 leave no bound constant: for the grid base rho=2.0, "
+             "rho**theta or rho**(1-theta) rounds to 1"),
+            (["reiteration", "--q1", "1.0000000000000002"],
+             "--q0=1.0, --q1=1.0000000000000002, --theta=0.5 leave no bound constant: for the grid base "
+             "rho=1.0000000000000002, rho**theta or rho**(1-theta) rounds to 1"),
+        ],
+    )
+    def test_rounded_parameter_names_its_flag_before_any_draw(self, flags, message, capsys, monkeypatch):
+        # each flag is a valid float whose derived parameter rounds onto an end
+        # of its range; the check is refused as the suite is built
+        def no_draws(*args):
+            raise AssertionError("the suite drew an instance")
+
+        monkeypatch.setattr(interpolation, "_run_suite", no_draws)
+        assert main(["interp", "--check", *flags, "--suite-size", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
