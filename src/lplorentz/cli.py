@@ -14,7 +14,10 @@ Exit codes: 0 on success, 2 for invalid flags or failed preconditions
 fixed configuration and seed: floats are serialized with their shortest
 round-trip representation, JSON keys are sorted, and every report embeds the
 resolved configuration (CSV reports carry it in a leading ``# config:``
-comment line).  The string ``inf`` is accepted for infinite exponents.
+comment line).  JSON reports and the ``.slopes.json`` companion are the bytes
+of ``json.dumps`` with sorted keys and a two-space indent, written by the C
+encoder (see :func:`_json_text`).  The string ``inf`` is accepted for
+infinite exponents.
 """
 
 from __future__ import annotations
@@ -66,6 +69,49 @@ def _config_echo(args: argparse.Namespace) -> dict:
     }
 
 
+# One level of indentation of a JSON report: ``json.dumps`` with an indent of two spaces.
+_INDENT = "  "
+
+
+def _scalar_dict(value) -> bool:
+    """Whether ``value`` is a nonempty dict of string keys and scalar values."""
+    return isinstance(value, dict) and bool(value) and all(
+        isinstance(key, str) and (item is None or isinstance(item, (str, int, float)))
+        for key, item in value.items()
+    )
+
+
+def _c_encoded(value, item_separator: str) -> str:
+    """``value`` in one call of the C encoder, which ``json`` uses only
+    without an indent; the line breaks and indents go in the separator."""
+    return json.JSONEncoder(sort_keys=True, separators=("," + item_separator, ": ")).encode(value)
+
+
+def _json_text(value, outer: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=_INDENT)``, byte for byte,
+    nested where the closing bracket follows ``outer``, a line break and
+    indent.
+
+    A dict of scalars, and a list of them, is one :func:`_c_encoded` call
+    whose separator carries the line break and indent of the dict items;
+    between list items it is rewritten to the list's own indent.  An encoded
+    string never holds a raw line break, so ``},`` + that separator + ``{``
+    occurs only between list items.  A dict of other values is written key
+    by key, and any other shape by ``json.dumps``, re-indented.
+    """
+    inner = outer + _INDENT
+    if _scalar_dict(value):
+        return "{" + inner + _c_encoded(value, inner)[1:-1] + outer + "}"
+    if isinstance(value, list) and value and all(map(_scalar_dict, value)):
+        item = inner + _INDENT
+        body = _c_encoded(value, item)[2:-2].replace("}," + item + "{", inner + "}," + inner + "{" + item)
+        return "[" + inner + "{" + item + body + inner + "}" + outer + "]"
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        items = (f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    return json.dumps(value, sort_keys=True, indent=_INDENT).replace("\n", outer)
+
+
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return str(value)
@@ -96,7 +142,7 @@ def emit_report(records, columns, header, summary=None, fmt: str = "csv", path=N
             "records": [{k: _jsonable(v) for k, v in rec.items()} for rec in records],
             "summary": {k: _jsonable(v) for k, v in (summary or {}).items()},
         }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     _write(text, path)
@@ -226,7 +272,7 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
         "slopes": result.slopes,
         "expected": {k: _jsonable(v) for k, v in result.expected.items()},
     }
-    text = json.dumps(slopes_payload, sort_keys=True, indent=2) + "\n"
+    text = _json_text(slopes_payload) + "\n"
     try:
         _write(text, None if args.out is None else str(Path(args.out).with_suffix(".slopes.json")))
     except RuntimeError:

@@ -69,8 +69,25 @@ def _power_sum_log2(exps, r: float) -> float:
     """``log2 (sum_i 2**(r*e_i))**(1/r)`` for base-2 exponents ``e_i``, the
     ``l^r`` norm of ``2**e`` in log form: ``m + log2(sum_i 2**(r*(e_i - m)))/r``
     with ``m = max_i e_i``, so no power leaves the float range.  ``r = inf``
-    gives ``m``.  The one-row case of :func:`_power_sums_log2`."""
-    return _power_sums_log2(np.asarray(exps, dtype=float)[None, :], None, r)[0]
+    gives ``m``.  The one-level case of :func:`_prefix_power_sums_log2`."""
+    return _prefix_power_sums_log2(exps, [len(exps)], r)[0]
+
+
+def _prefix_power_sums_log2(exps, levels, r: float) -> list[float]:
+    """:func:`_power_sum_log2` of each prefix ``exps[:L]``, for ``L`` in
+    ``levels``, as Python floats.
+
+    The prefix maxima come from one running maximum.  Each level raises only
+    its own prefix, shifted by its own maximum, and sums it as one contiguous
+    1-D slice, so it keeps the bits of its one-row :func:`_power_sums_log2`;
+    no entry past ``L`` is raised, so none can overflow, and the temporaries
+    stay as long as the longest prefix.
+    """
+    exps = np.asarray(exps, dtype=float)
+    tops = np.maximum.accumulate(exps)[np.asarray(levels) - 1].tolist()
+    if r == _INF:
+        return tops
+    return [m + math.log2(np.add.reduce(2.0 ** (r * (exps[:n] - m)))) / r for m, n in zip(tops, levels)]
 
 
 def _power_sums_log2(exps: np.ndarray, counts, r: float) -> list[float]:

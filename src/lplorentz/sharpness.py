@@ -9,7 +9,8 @@ the two Besov-type bounds grow like ``L**(1/r0)`` and
 obtained from the pairing grows like ``L**(1/r)``.  Fitting these growth
 rates over a sweep of ``L`` shows the inequality ratio grows like
 ``L**(1/r - 1/r_star)`` whenever ``1/r > 1/r_star``.  The families of a
-sweep are nested, so every level is read off the largest family in one pass.
+sweep are nested, so every level is read off the largest family in one pass,
+and one least-squares fit gives the slopes of all six growth curves.
 
 The Besov bounds and the pairing are closed forms.  The dual Lorentz norm
 of ``g_L`` is computed from the atom's rearrangement *sampled* at the 4096
@@ -44,6 +45,7 @@ from .norms import (
     _check_exponent,
     _inv,
     _power_sum_log2,
+    _prefix_power_sums_log2,
     _profile_from_sorted,
     besov_seminorm,
     conjugate_exponent,
@@ -332,14 +334,17 @@ def _besov_terms(s: AtomicSum, space: BesovParams) -> tuple[float, np.ndarray]:
     """Calibration constant ``C_atom`` and per-scale base-2 exponents
     ``j*s' - j*n/q + log2 ||coeffs_j||_{l^q}`` of the closed-form bound of
     :func:`atomic_besov_upper`; the bound of the first ``L`` scales is
-    ``C_atom * 2**_power_sum_log2(exps[:L], space.q)``."""
+    ``C_atom * 2**_power_sum_log2(exps[:L], space.q)``.  The logs of the
+    counts are Python's ``math.log2``, whose last bits numpy's ``log2`` need
+    not share."""
     if abs(space.s) >= s.atom.moments:
         raise ValueError(
             f"|s|={abs(space.s)!r} must stay below the atom's vanishing-moment order {s.atom.moments}"
         )
     iq = _inv(space.p)
     slope = space.s + s.coeff_exp - s.n * iq
-    exps = np.array([j * slope + iq * math.log2(c) for j, c in zip(s.scales, s.counts)])
+    logs = np.fromiter(map(math.log2, s.counts), float, len(s.counts))
+    exps = np.asarray(s.scales, dtype=float) * slope + iq * logs
     constant = _atom_besov_calibration(tuple(s.atom.profile_coefficients.tolist()), space.s, space.p, space.q)
     return constant, exps
 
@@ -441,7 +446,7 @@ def _dual_norms(s: AtomicSum, levels, dual: LorentzParams) -> list[float]:
     scales = np.asarray(s.scales, dtype=float)
     log_atom = math.log2(lorentz_norm(s.atom.rearrangement, dual))
     exps = scales * s.coeff_exp + (np.log2(s.counts) - scales * s.n) / dual.p + log_atom
-    return [2.0 ** _power_sum_log2(exps[:level], dual.p) for level in levels]
+    return [2.0**e for e in _prefix_power_sums_log2(exps, levels, dual.p)]
 
 
 def pairing(f: AtomicSum, g: AtomicSum) -> float:
@@ -491,13 +496,6 @@ class GrowthResult:
     expected: dict[str, float]
 
 
-def _fit_slope(levels, values) -> float:
-    # One polyfit per quantity: a single fit of all six columns at once rounds
-    # differently in the last bit for some sweeps (composed and violating at
-    # Lmax 768, alpha = beta = 1/2 at Lmax 256, any sweep listing a level twice).
-    return float(np.polyfit(np.log2(np.asarray(levels, dtype=float)), np.log2(np.asarray(values)), 1)[0])
-
-
 def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResult:
     """Sweep the number of scales and fit growth exponents of all quantities.
 
@@ -515,9 +513,12 @@ def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResu
     Every level family is a prefix of the largest one, so the levels are read
     off that top family in one pass: the per-scale Besov exponents and
     pairing terms are computed once, and each level takes the log-sum of its
-    prefix and the left-to-right running pairing sum at its last scale.  The
-    records equal :func:`atomic_besov_upper` and :func:`pairing` on each
-    level's own :func:`build_closed_form_family` bit for bit.
+    prefix (:func:`~lplorentz.norms._prefix_power_sums_log2`) and the
+    left-to-right running pairing sum at its last scale.  The records equal
+    :func:`atomic_besov_upper` and :func:`pairing` on each level's own
+    :func:`build_closed_form_family` bit for bit.  The six slopes come from
+    one least-squares fit of the ``(levels, 6)`` matrix of their base-2 logs,
+    which may round apart from six one-column fits in the last bits.
 
     Requires at least 4 levels spanning a factor of 8 (three octaves).
     """
@@ -534,9 +535,14 @@ def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResu
     pair_exp = f_top.coeff_exp + g_top.coeff_exp - f_top.n
     running_pairs = list(accumulate(c * 2.0 ** (j * pair_exp) for j, c in zip(f_top.scales, f_top.counts)))
     records = []
-    for level, g_dual_norm in zip(levels, _dual_norms(g_top, levels, dual)):
-        besov0 = constant0 * 2.0 ** _power_sum_log2(exps0[:level], space0.q)
-        besov1 = constant1 * 2.0 ** _power_sum_log2(exps1[:level], space1.q)
+    for level, log0, log1, g_dual_norm in zip(
+        levels,
+        _prefix_power_sums_log2(exps0, levels, space0.q),
+        _prefix_power_sums_log2(exps1, levels, space1.q),
+        _dual_norms(g_top, levels, dual),
+    ):
+        besov0 = constant0 * 2.0**log0
+        besov1 = constant1 * 2.0**log1
         pair = running_pairs[level - 1] * atom.l2_norm_sq
         lorentz_lower = pair / g_dual_norm
         rhs_product = besov0 ** (1.0 - theta) * besov1**theta
@@ -552,10 +558,10 @@ def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResu
                 "ratio": lorentz_lower / rhs_product,
             }
         )
-    slopes = {
-        key: _fit_slope(levels, [rec[key] for rec in records])
-        for key in ("besov0", "besov1", "pairing", "lorentz_lower", "rhs_product", "ratio")
-    }
+    keys = ("besov0", "besov1", "pairing", "lorentz_lower", "rhs_product", "ratio")
+    columns = np.log2([[rec[key] for key in keys] for rec in records])
+    fitted = np.polyfit(np.log2(np.asarray(levels, dtype=float)), columns, 1)[0]
+    slopes = dict(zip(keys, fitted.tolist()))
     expected = {
         "besov0": _inv(params.r0),
         "besov1": _inv(params.r1),

@@ -16,10 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lplorentz
 from lplorentz import interpolation
-from lplorentz.cli import emit_report, main
+from lplorentz.cli import _json_text, emit_report, main
 from lplorentz.interpolation import CHECKS
 from lplorentz.norms import LorentzParams, MeasuredValues, lorentz_norm
 from lplorentz.spectral import GridSpec, SampledField, save_field
@@ -700,6 +702,31 @@ class TestSharpnessCommand:
         assert code == 1
         failures = [line for line in captured.err.splitlines() if line.startswith("failure:")]
         assert failures and "scale 2048" in failures[0]
+
+
+# strings that could fool a writer which edits encoded text: raw line breaks,
+# the separator between encoded list items, brackets, quotes, backslashes and
+# non-ASCII text
+_TRICKY = st.sampled_from(
+    ["\n", "},\n      {", "},\n    {\n      ", "{", "}", "[", "]", '"', "\\", "\u00e9", "\u2603\U0001f600"]
+)
+_TEXT = st.one_of(st.text(max_size=8), st.lists(st.one_of(_TRICKY, st.text(max_size=3)), max_size=4).map("".join))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.just(math.nan), st.just("inf"), _TEXT
+)
+_FLAT = st.dictionaries(_TEXT, _SCALARS, max_size=6)
+_NESTED = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3), max_leaves=8
+)
+_VALUES = st.one_of(_FLAT, st.lists(_FLAT, max_size=4), st.just({}), st.just([]), _NESTED)
+_REPORTS = st.fixed_dictionaries({"header": _FLAT, "records": st.lists(_FLAT, max_size=4), "summary": _FLAT})
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_REPORTS, st.dictionaries(_TEXT, _VALUES, max_size=4), _VALUES))
+    def test_equals_indented_json_dumps(self, payload):
+        assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 class TestEmitReport:

@@ -25,7 +25,14 @@ from lplorentz.norms import (
     rearrangement,
     triebel_seminorm,
 )
-from lplorentz.norms import _grid_lp, _power_sum_log2, _profile_from_sorted, _profile_rows
+from lplorentz.norms import (
+    _grid_lp,
+    _power_sum_log2,
+    _power_sums_log2,
+    _prefix_power_sums_log2,
+    _profile_from_sorted,
+    _profile_rows,
+)
 from lplorentz.spectral import GridSpec, SampledField, decompose, lowest_scale_for_dc_only
 
 INF = math.inf
@@ -427,6 +434,23 @@ class TestPowerSumLog2:
             assert _power_sum_log2(exps, 2.0) == shift + 1.0
             assert _power_sum_log2(exps, 1.0) == shift + 2.0
             assert _power_sum_log2(exps, INF) == shift
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.7, INF])
+    def test_prefix_sums_keep_the_bits_of_each_prefix(self, r):
+        # exponents spanning +-1000: an entry past a prefix may lie far above
+        # its maximum, whose power would overflow (an error under pytest's
+        # RuntimeWarning filter) if it were raised
+        rng = np.random.default_rng(29)
+        for exps in (
+            rng.uniform(-1000.0, 1000.0, 257),
+            np.linspace(-1000.0, 1000.0, 257),
+            3.0 + 1e-13 * rng.standard_normal(257),
+        ):
+            levels = list(range(1, exps.size + 1))
+            sums = _prefix_power_sums_log2(exps, levels, r)
+            assert sums == [_power_sum_log2(exps[:n], r) for n in levels]
+            assert sums == [_power_sums_log2(exps[None, :n], None, r)[0] for n in levels]
+            assert _prefix_power_sums_log2(exps, [200, 7, 7, 257], r) == [sums[199], sums[6], sums[6], sums[256]]
 
     def test_raw_norms_are_not_monotone_in_second_exponent(self):
         # the unnormalized scale: for an indicator, the (2,6) norm is strictly
