@@ -588,17 +588,32 @@ def _partition_constant(q0: float, q1: float, r0: float, sigma: float) -> float:
     ) ** (-1.0 / r0)
 
 
-def _partition_exponents(q0: float, q1: float, r: float, r_name: str) -> tuple[float, float, float, float]:
+def _partition_exponents(
+    q0: float, q1: float, r: float, r_name: str, q_names: tuple[str, str] = ("q0", "q1")
+) -> tuple[float, float, float, float]:
     """``(q0, q1, r, sigma)`` as floats with ``q0 < r < q1`` and
     ``sigma = 1/(1/q0 - 1/q1)``; a ``ValueError`` names the middle exponent
-    ``r_name``."""
+    ``r_name``, or both ``q_names`` when the rank-threshold base
+    ``2**sigma`` or the constant of :func:`ell_partition_constant` leaves
+    the float range."""
     r = _check_exponent(r_name, r)
     q0, q1 = _check_exponent("q0", q0), _check_exponent("q1", q1)
     if not q0 < r < q1:
         raise ValueError(
             f"need q0 < {r_name} < q1 for a proper interpolation position, got {(q0, r, q1)!r}"
         )
-    return q0, q1, r, 1.0 / (_inv(q0) - _inv(q1))
+    gap = _inv(q0) - _inv(q1)
+    sigma = 1.0 / gap if gap > 0.0 else _INF
+    try:
+        finite = math.isfinite(2.0**sigma) and math.isfinite(_partition_constant(q0, q1, r, sigma))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"{q_names[0]}={q0!r} and {q_names[1]}={q1!r} are too close: sigma = 1/(1/q0 - 1/q1) = {sigma!r} "
+            f"puts the rank thresholds 2**sigma or the bound constant outside the float range"
+        )
+    return q0, q1, r, sigma
 
 
 def ell_partition(lam, q0: float, q1: float, r0: float) -> PartitionResult:
@@ -799,7 +814,7 @@ def _duality_suite(p, r, q0, q1, theta):
 
 
 def _partition_suite(p, r, q0, q1, theta):
-    q0, q1, r, sigma = _partition_exponents(q0, q1, r, "r")
+    q0, q1, r, sigma = _partition_exponents(q0, q1, r, "r", ("--q0", "--q1"))
 
     def draw(rng):
         return (rng.lognormal(0.0, 1.5, int(rng.integers(5, 120))),)

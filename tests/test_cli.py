@@ -480,6 +480,12 @@ class TestInterpCommand:
             (["reiteration", "--q1", "1.0000000000000002"],
              "--q0=1.0, --q1=1.0000000000000002, --theta=0.5 leave no bound constant: for the grid base "
              "rho=1.0000000000000002, rho**theta or rho**(1-theta) rounds to 1"),
+            (["partition", "--q0", "1", "--q1", "1.0009", "--r", "1.0005"],
+             "--q0=1.0 and --q1=1.0009 are too close: sigma = 1/(1/q0 - 1/q1) = 1112.1111111111798 puts the "
+             "rank thresholds 2**sigma or the bound constant outside the float range"),
+            (["partition", "--q0", "1", "--q1", "1.0000000000000004", "--r", "1.0000000000000002"],
+             "--q0=1.0 and --q1=1.0000000000000004 are too close: sigma = 1/(1/q0 - 1/q1) = 2251799813685248.0 "
+             "puts the rank thresholds 2**sigma or the bound constant outside the float range"),
         ],
     )
     def test_rounded_parameter_names_its_flag_before_any_draw(self, flags, message, capsys, monkeypatch):

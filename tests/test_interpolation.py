@@ -528,6 +528,17 @@ class TestRankPartition:
         with pytest.raises(ValueError):
             ell_partition(np.empty(0), 1.0, INF, 2.0)
 
+    def test_thresholds_past_the_float_range_name_q0_and_q1(self):
+        # sigma = 1/(1/q0 - 1/q1) is about 1112, so 2**sigma is not a float;
+        # at q1 = 1.001 (sigma about 1001) the thresholds and constant still are
+        message = r"^q0=1\.0 and q1=1\.0009 are too close: sigma = 1/\(1/q0 - 1/q1\) = 1112\.1"
+        with pytest.raises(ValueError, match=message):
+            ell_partition_constant(1.0, 1.0009, 1.0005)
+        with pytest.raises(ValueError, match=message):
+            ell_partition(np.ones(3), 1.0, 1.0009, 1.0005)
+        assert math.isfinite(ell_partition_constant(1.0, 1.001, 1.0005))
+        assert ell_partition(np.ones(3), 1.0, 1.001, 1.0005).ratio <= 1.0
+
 
 def reiteration_rhs_reference(target: LorentzParams, suite_size: int, seed: int) -> list[float]:
     """Target Lorentz norms of the sequences a reiteration suite draws."""
