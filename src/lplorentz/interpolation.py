@@ -491,10 +491,10 @@ def layer_cake_constant(p: float, r: float) -> float:
 
 
 def _layer_cake_sides(values: np.ndarray, masses: np.ndarray, lengths: np.ndarray,
-                      params: LorentzParams) -> tuple[list[float], list[float]]:
+                      params: LorentzParams, interp: InterpParams) -> tuple[list[float], list[float]]:
     """``P + Q`` and ``C0 * lorentz_norm(v, params)`` for the layer-cake
-    decomposition of each zero-padded row ``v`` of ``values`` on ``masses``."""
-    interp = InterpParams(1.0 - 1.0 / params.p, params.r, 2.0)
+    decomposition of each zero-padded row ``v`` of ``values`` on ``masses``,
+    with the K-norm parameters ``interp`` of :func:`_k_params`."""
     prof = _profile_rows(values, masses)
     owner, ks, _, norms0, norms1 = _layer_cake_rows(values, masses, lengths, prof, *_L1_LINF)
     p_sums, q_sums = _j_sums(owner, ks, norms0, norms1, lengths.size, interp)
@@ -505,8 +505,9 @@ def _layer_cake_sides(values: np.ndarray, masses: np.ndarray, lengths: np.ndarra
 def layer_cake_bound_ratio(v: MeasuredValues, params) -> float:
     """Ratio ``(P + Q) / (C0 * lorentz_norm(v, params))`` for the layer-cake
     decomposition of ``v``; at most 1 for every input."""
+    params = _as_lorentz_params(params)
     (lhs,), (rhs,) = _layer_cake_sides(v.values[None, :], v.masses[None, :], np.array([v.values.size]),
-                                       _as_lorentz_params(params))
+                                       *_k_params(params.p, params.r, "p"))
     return _ratio(lhs, rhs)
 
 
@@ -524,16 +525,16 @@ def duality_pairing_check(f: MeasuredValues, g: MeasuredValues, p: float, r: flo
     if not f.aligned_with(g):
         raise ValueError("f and g must be aligned entrywise on the same measure space")
     (pairing,), (product,) = _duality_sides(f.values[None, :], g.values[None, :], f.masses[None, :], None,
-                                            LorentzParams(p, r))
+                                            *_dual_params(p, r, "p"))
     return _ratio(pairing, product)
 
 
 def _duality_sides(f: np.ndarray, g: np.ndarray, masses: np.ndarray, lengths,
-                   params: LorentzParams) -> tuple[list[float], list[float]]:
+                   params: LorentzParams, dual: LorentzParams) -> tuple[list[float], list[float]]:
     """``integral f*g dmu`` and ``||f||_{p,r} * ||g||_{p',r'}`` for each pair of
     zero-padded rows of ``f`` and ``g`` on the rows of ``masses``, row ``i``
-    holding ``lengths[i]`` entries (every row full when ``lengths`` is None)."""
-    dual = LorentzParams(conjugate_exponent(params.p), conjugate_exponent(params.r))
+    holding ``lengths[i]`` entries (every row full when ``lengths`` is None),
+    with ``params`` and its ``dual`` from :func:`_dual_params`."""
     pairings = _row_sums(f * g * masses, lengths).tolist()
     prof = _profile_rows(np.concatenate((f, g)), np.concatenate((masses, masses)))
     rows = len(f)
@@ -774,15 +775,25 @@ def _block_sides(sides, draws):
     return sides(*(_pad(np.concatenate(column), lengths) for column in zip(*draws)), lengths)
 
 
-def _k_params(p, r) -> tuple[LorentzParams, InterpParams]:
+def _k_params(p, r, name: str = "--p") -> tuple[LorentzParams, InterpParams]:
     """``L^{p,r}`` and the parameters ``theta = 1 - 1/p`` and ``r`` of the
-    K-norm equivalent to it; a ``ValueError`` names ``--p`` when ``theta``
-    rounds to 1."""
+    K-norm equivalent to it; a ``ValueError`` names ``p`` as ``name`` when
+    ``theta`` rounds to 1."""
     target = LorentzParams(p, r)
     theta = 1.0 - 1.0 / target.p
     if theta == 1.0:
-        raise ValueError(f"--p={target.p!r} is too large: theta = 1 - 1/p rounds to 1")
+        raise ValueError(f"{name}={target.p!r} is too large: theta = 1 - 1/p rounds to 1")
     return target, InterpParams(theta, target.r)
+
+
+def _dual_params(p, r, name: str = "--p") -> tuple[LorentzParams, LorentzParams]:
+    """``L^{p,r}`` and its dual ``L^{p',r'}``; a ``ValueError`` names ``p``
+    as ``name`` when its conjugate ``p'`` rounds to 1."""
+    params = LorentzParams(p, r)
+    dual_p = conjugate_exponent(params.p)
+    if dual_p == 1.0:
+        raise ValueError(f"{name}={params.p!r} is too large: its conjugate p/(p-1) rounds to 1")
+    return params, LorentzParams(dual_p, conjugate_exponent(params.r))
 
 
 def _k_equivalence_suite(p, r, q0, q1, theta):
@@ -796,21 +807,19 @@ def _k_equivalence_suite(p, r, q0, q1, theta):
 
 
 def _layer_cake_suite(p, r, q0, q1, theta):
-    target, _ = _k_params(p, r)
-    return _random_step_values, lambda *block: _layer_cake_sides(*block, target)
+    params = _k_params(p, r)
+    return _random_step_values, lambda *block: _layer_cake_sides(*block, *params)
 
 
 def _duality_suite(p, r, q0, q1, theta):
-    params = LorentzParams(p, r)
-    if conjugate_exponent(params.p) == 1.0:
-        raise ValueError(f"--p={params.p!r} is too large: its conjugate p/(p-1) rounds to 1")
+    params = _dual_params(p, r)
 
     def draw(rng):
         size = int(rng.integers(3, 60))
         masses = rng.uniform(0.1, 4.0, size)
         return rng.lognormal(0.0, 1.0, size), rng.lognormal(0.0, 1.0, size), masses
 
-    return draw, lambda *block: _duality_sides(*block, params)
+    return draw, lambda *block: _duality_sides(*block, *params)
 
 
 def _partition_suite(p, r, q0, q1, theta):

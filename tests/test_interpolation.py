@@ -396,6 +396,21 @@ class TestLayerCake:
         )
 
 
+class TestDerivedParametersNameP:
+    # p = 1e300 is a valid exponent whose derived theta = 1 - 1/p and
+    # conjugate p/(p-1) round onto an end of their ranges; the public
+    # functions name p, not the derived value
+    v = MeasuredValues([3.0, 1.0], [1.0, 2.0])
+
+    def test_layer_cake_bound_ratio(self):
+        with pytest.raises(ValueError, match=r"^p=1e\+300 is too large: theta = 1 - 1/p rounds to 1$"):
+            layer_cake_bound_ratio(self.v, (1e300, 2.0))
+
+    def test_duality_pairing_check(self):
+        with pytest.raises(ValueError, match=r"^p=1e\+300 is too large: its conjugate p/\(p-1\) rounds to 1$"):
+            duality_pairing_check(self.v, self.v, 1e300, 2.0)
+
+
 class TestDualityPairing:
     def test_ratio_never_exceeds_one(self):
         rng = np.random.default_rng(11)
