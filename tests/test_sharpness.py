@@ -566,23 +566,32 @@ class TestGrowthExperiment:
     )
     def test_one_pass_sweep_equals_per_level_reference(self, params, levels):
         # The sweep reads every level off the top family; each level's own
-        # family gives the same bits, also for a level listed twice.  The
-        # slopes are one least-squares fit of all six columns, which can
+        # family gives the same record bits, also for a level listed twice.
+        # The slopes are one least-squares fit of all six columns, which can
         # round apart from six one-column fits in the last bits only.
         atom = build_atom(2)
         result = growth_experiment(params, atom, levels)
-        assert [record["L"] for record in result.records] == levels
-        for level, record in zip(levels, result.records):
+        dual = LorentzParams(conjugate_exponent(params.p), conjugate_exponent(params.r))
+        reference = []
+        for level in levels:
             f_sum, g_sum = build_closed_form_family(params, atom, level)
-            assert record["besov0"] == atomic_besov_upper(f_sum, BesovParams(params.alpha, params.q0, params.r0))
-            assert record["besov1"] == atomic_besov_upper(f_sum, BesovParams(-params.beta, params.q1, params.r1))
-            assert record["pairing"] == pairing(f_sum, g_sum)
+            besov0 = atomic_besov_upper(f_sum, BesovParams(params.alpha, params.q0, params.r0))
+            besov1 = atomic_besov_upper(f_sum, BesovParams(-params.beta, params.q1, params.r1))
+            pair = pairing(f_sum, g_sum)
+            g_dual_norm = sharpness._dual_norms(g_sum, [level], dual)[0]
+            rhs_product = besov0 ** (1.0 - params.theta) * besov1**params.theta
+            reference.append({
+                "L": level, "besov0": besov0, "besov1": besov1, "pairing": pair, "g_dual_norm": g_dual_norm,
+                "lorentz_lower": pair / g_dual_norm, "rhs_product": rhs_product,
+                "ratio": pair / g_dual_norm / rhs_product,
+            })
+        assert result.records == reference
         keys = ("besov0", "besov1", "pairing", "lorentz_lower", "rhs_product", "ratio")
         log_levels = np.log2(np.asarray(levels, dtype=float))
-        columns = np.log2([[record[key] for key in keys] for record in result.records])
+        columns = np.log2([[record[key] for key in keys] for record in reference])
         assert result.slopes == dict(zip(keys, np.polyfit(log_levels, columns, 1)[0].tolist()))
         for key in keys:
-            one_column = float(np.polyfit(log_levels, np.log2([record[key] for record in result.records]), 1)[0])
+            one_column = float(np.polyfit(log_levels, np.log2([record[key] for record in reference]), 1)[0])
             assert result.slopes[key] == pytest.approx(one_column, rel=0, abs=1e-13)
 
     def test_mass_underflow_is_an_arithmetic_error(self):
