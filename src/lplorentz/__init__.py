@@ -29,7 +29,6 @@ from .norms import (
     lorentz_embedding_constant,
     lorentz_norm,
     lorentz_normalization,
-    normalized_lorentz_norm,
     rearrangement,
     triebel_seminorm,
 )

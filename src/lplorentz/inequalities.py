@@ -43,7 +43,6 @@ from .spectral import (
 
 __all__ = [
     "CaseParams",
-    "AdmissibilityResult",
     "hedberg_constant",
     "hedberg_pointwise",
     "verify_case",
@@ -210,24 +209,8 @@ def segment_endpoints(theta: float, p: float) -> tuple[tuple[float, float], tupl
     return (x_lo, y_of(x_lo)), (x_hi, y_of(x_hi))
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
-    """Outcome of the segment predicate: the two ordering chains evaluated on
-    the point ``(1/r0, 1/r1)`` against the segment endpoints, and their
-    disjunction.  Both chains are reported because the orientation convention
-    differs between them; consumers should rely on ``admissible``."""
-
-    admissible: bool
-    chain_low: bool
-    chain_high: bool
-    endpoints: tuple[tuple[float, float], tuple[float, float]]
-
-    def __bool__(self) -> bool:
-        return self.admissible
-
-
-def segment_admissible(case: CaseParams) -> AdmissibilityResult:
-    """Whether ``(1/r0, 1/r1)`` is admissible for the segment at ``(theta, p)``.
+def segment_admissible(case: CaseParams) -> bool:
+    """Whether ``(1/r0, 1/r1)`` is admissible for the segment at ``(theta, p)``, a bool.
 
     Requires ``p <= 2``.  With endpoints ``(x0, y0)`` (smaller x) and
     ``(x1, y1)``, the two accepted orderings are ``x0 <= 1/r0 <= 1/r1 <= y0``
@@ -240,7 +223,7 @@ def segment_admissible(case: CaseParams) -> AdmissibilityResult:
     eps = 1e-12
     chain_low = (x0 <= u + eps) and (u <= v + eps) and (v <= y0 + eps)
     chain_high = (y1 <= v + eps) and (v <= u + eps) and (u <= x1 + eps)
-    return AdmissibilityResult(chain_low or chain_high, chain_low, chain_high, ((x0, y0), (x1, y1)))
+    return chain_low or chain_high
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "rearrangement",
     "lorentz_norm",
     "lorentz_normalization",
-    "normalized_lorentz_norm",
     "lorentz_embedding_constant",
     "lebesgue_norm",
     "besov_seminorm",
@@ -367,7 +366,7 @@ def _as_lorentz_params(params) -> LorentzParams:
 
 def _power_root(power_sum, x: np.ndarray, p: float, diverged: str, axis=None):
     """``power_sum(x) ** (1/p)`` for a sum of ``p``-th powers of the
-    nonnegative ``x`` reduced over ``axis``, a float when ``axis`` is None.
+    nonnegative ``x`` reduced over ``axis``, 0-d when ``axis`` is None.
 
     A power sum that is a normal float keeps the bits of its plain root.  One
     that is zero, subnormal or not finite is redone on its reduced slice of
@@ -378,18 +377,13 @@ def _power_root(power_sum, x: np.ndarray, p: float, diverged: str, axis=None):
     row kernel :func:`_lorentz_rows` takes the plain root of each row itself
     and sends here, one row at a time, only the rows whose sums are not normal.
     """
-    if axis is None:  # a scalar compare spares two reductions on this per-call path
-        total = float(power_sum(x))
-        if _TINY <= total < _INF:
-            return total ** (1.0 / p)
-    else:
-        total = power_sum(x)
-        root = total ** (1.0 / p)
-        if _TINY <= total.min(initial=_INF) and total.max(initial=0.0) < _INF:
-            return root
+    total = power_sum(x)
+    root = total ** (1.0 / p)
+    if _TINY <= total.min(initial=_INF) and total.max(initial=0.0) < _INF:
+        return root
     top = x.max(axis=axis, keepdims=True, initial=0.0)
     rescaled = power_sum(x / np.where(top > 0.0, top, 1.0)) ** (1.0 / p) * top.reshape(np.shape(total))
-    norm = float(rescaled) if axis is None else np.where((total >= _TINY) & (total < _INF), root, rescaled)
+    norm = np.where((total >= _TINY) & (total < _INF), root, rescaled)
     if not np.isfinite(norm).all():
         raise ArithmeticError(diverged.format(p=p))
     return norm
@@ -424,7 +418,7 @@ def _lorentz_rows(prof: _Profiles, p: float, r: float) -> list[float]:
             else:
                 n = prof.values.shape[1] if prof.lengths is None else prof.lengths[i]
                 row_steps = steps[i, :n]
-                norms[i] = _power_root(lambda x: np.sum(x**r * (p / r) * row_steps), prof.values[i, :n], r, diverged)
+                norms[i] = float(_power_root(lambda x: np.sum(x**r * (p / r) * row_steps), prof.values[i, :n], r, diverged))
     return norms
 
 
@@ -448,22 +442,13 @@ def lorentz_norm(v, params) -> float:
 
 
 def lorentz_normalization(p: float, r: float) -> float:
-    """Norm of the unit-mass indicator: ``(p/r)**(1/r)``, 1 when ``r = inf``."""
+    """Norm of the unit-mass indicator: ``(p/r)**(1/r)``, 1 when ``r = inf``.
+    A Lorentz norm divided by it does not increase when ``r`` grows, so these
+    quotients, not the raw norms, are ordered in ``r`` for embedding comparisons."""
     params = LorentzParams(p, r)
     if params.r == _INF:
         return 1.0
     return (params.p / params.r) ** (1.0 / params.r)
-
-
-def normalized_lorentz_norm(v, params) -> float:
-    """Lorentz norm divided by the unit-indicator norm.
-
-    The normalized family is monotone: it does not increase when ``r``
-    grows, which makes it the right quantity for embedding comparisons
-    (the raw norms are not ordered in ``r``).
-    """
-    params = _as_lorentz_params(params)
-    return lorentz_norm(v, params) / lorentz_normalization(params.p, params.r)
 
 
 def lorentz_embedding_constant(p: float, r0: float, r1: float) -> float:
@@ -490,8 +475,8 @@ def lebesgue_norm(v: MeasuredValues, p: float) -> float:
     if p == _INF:
         return float(np.max(v.values))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _power_root(lambda x: np.sum(x**p * v.masses), v.values, p,
-                           "Lebesgue integral diverged on these values")
+        return float(_power_root(lambda x: np.sum(x**p * v.masses), v.values, p,
+                                 "Lebesgue integral diverged on these values"))
 
 
 def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None, lengths=None):

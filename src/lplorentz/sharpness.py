@@ -458,10 +458,13 @@ def pairing(f: AtomicSum, g: AtomicSum) -> float:
     ``L = 8`` in the composed sweep)."""
     if f.atom is not g.atom or f.scales != g.scales or f.counts != g.counts:
         raise ValueError("pairing requires the same atom layout on both factors")
-    total = 0.0
-    for j, c in zip(f.scales, f.counts):
-        total += c * 2.0 ** (j * (f.coeff_exp + g.coeff_exp - f.n))
-    return total * f.atom.l2_norm_sq
+    return _running_pairings(f, g)[-1] * f.atom.l2_norm_sq
+
+
+def _running_pairings(f: AtomicSum, g: AtomicSum) -> list[float]:
+    """Left-to-right running sums of the :func:`pairing` terms, one per scale."""
+    pair_exp = f.coeff_exp + g.coeff_exp - f.n
+    return list(accumulate(c * 2.0 ** (j * pair_exp) for j, c in zip(f.scales, f.counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +535,7 @@ def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResu
     f_top, g_top = build_closed_form_family(params, atom, levels[-1])
     constant0, exps0 = _besov_terms(f_top, space0)
     constant1, exps1 = _besov_terms(f_top, space1)
-    pair_exp = f_top.coeff_exp + g_top.coeff_exp - f_top.n
-    running_pairs = list(accumulate(c * 2.0 ** (j * pair_exp) for j, c in zip(f_top.scales, f_top.counts)))
+    running_pairs = _running_pairings(f_top, g_top)
     records = []
     for level, log0, log1, g_dual_norm in zip(
         levels,

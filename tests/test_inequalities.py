@@ -243,20 +243,13 @@ class TestAdmissibilitySegment:
             segment_endpoints(0.5, 1.0)
 
     def test_central_pair_admissible(self):
-        result = segment_admissible(canonical_case())
-        assert result.admissible
-        assert bool(result)
-        assert result.chain_low
-        assert result.endpoints == segment_endpoints(0.5, 2.0)
+        assert segment_admissible(canonical_case()) is True
 
     def test_outer_pair_outside_segment(self):
         # p = 4/3 pushes the segment to x >= 1/2; the pair (1/4, 1/8) misses
         # both ordering chains.
         case = CaseParams(1.0, 1.0, 4.0 / 3.0, 4.0 / 3.0, 4.0, 8.0, r=2.0)
-        result = segment_admissible(case)
-        assert not result.admissible
-        assert not bool(result)
-        assert not result.chain_low and not result.chain_high
+        assert segment_admissible(case) is False
 
     def test_requires_p_at_most_two(self):
         case = CaseParams(1.0, 1.0, 3.0, 3.0, 2.0, 2.0)

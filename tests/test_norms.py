@@ -21,7 +21,6 @@ from lplorentz.norms import (
     lorentz_embedding_constant,
     lorentz_norm,
     lorentz_normalization,
-    normalized_lorentz_norm,
     rearrangement,
     triebel_seminorm,
 )
@@ -466,7 +465,7 @@ class TestPowerSumLog2:
         for _ in range(60):
             v = random_step_values(rng, max_len=25)
             for p in (1.5, 2.0, 3.0):
-                vals = [normalized_lorentz_norm(v, LorentzParams(p, r)) for r in grid_r]
+                vals = [lorentz_norm(v, LorentzParams(p, r)) / lorentz_normalization(p, r) for r in grid_r]
                 for lo, hi in zip(vals, vals[1:]):
                     assert hi <= lo * (1.0 + 1e-12)
 
