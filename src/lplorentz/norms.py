@@ -374,8 +374,8 @@ def _power_root(power_sum, x: np.ndarray, p: float, diverged: str, axis=None):
     the root back; where that root leaves the float range too, it raises
     ``ArithmeticError(diverged.format(p=p))``.  Callers run it with overflow
     and invalid warnings off, so only that error reports an overflow.  The
-    row kernel :func:`_lorentz_rows` takes the plain root of each row itself
-    and sends here, one row at a time, only the rows whose sums are not normal.
+    row kernel :func:`_lorentz_rows` rescues its rows on their weak-type
+    products instead (:func:`_weak_type_root`).
     """
     total = power_sum(x)
     root = total ** (1.0 / p)
@@ -395,10 +395,13 @@ def _lorentz_rows(prof: _Profiles, p: float, r: float) -> list[float]:
     Each piece contributes ``value**r * (p/r) * (S_i**(r/p) - S_{i-1}**(r/p))``,
     with the powers ``S_i**(r/p)`` formed once per row and differenced in
     place; a row past its length adds nothing.  Each row's sum is taken over
-    its length (see :func:`_row_sums`) and its root as a Python float, which
-    :func:`_power_root` redoes on the rescaled row when the sum is not a
-    normal float.  For ``r = inf`` the norm is ``max_i value_i * S_i**(1/p)``.
-    A norm that leaves the float range raises ``ArithmeticError``.
+    its length (see :func:`_row_sums`) and its root as a Python float.  That
+    root keeps its bits where the sum and the row's smallest factors, its
+    last value's power and its first mass power, are normal floats; any
+    other nonempty row is redone on its weak-type products
+    (:func:`_weak_type_root`), since a subnormal factor carries too few bits.
+    For ``r = inf`` the norm is ``max_i value_i * S_i**(1/p)``.  A norm that
+    leaves the float range raises ``ArithmeticError``.
     """
     diverged = "Lorentz integral diverged on this profile"
     # an overflow surfaces as a non-finite norm, reported below
@@ -410,16 +413,35 @@ def _lorentz_rows(prof: _Profiles, p: float, r: float) -> list[float]:
                 raise ArithmeticError(diverged)
             return norms
         steps = prof.cum ** (r / p)
+        # each row's smallest factors: its first mass power and its smallest value's power
+        floors = np.minimum(steps[:, 0], prof.values.min(axis=1, initial=_INF, where=prof.values > 0.0) ** r).tolist()
         steps[:, 1:] -= steps[:, :-1]
         norms = _row_sums(prof.values**r * (p / r) * steps, prof.lengths).tolist()
-        for i, total in enumerate(norms):
-            if _TINY <= total < _INF:
+        for i, (total, floor) in enumerate(zip(norms, floors)):
+            if _TINY <= total < _INF and floor >= _TINY:
                 norms[i] = total ** (1.0 / r)
             else:
                 n = prof.values.shape[1] if prof.lengths is None else prof.lengths[i]
-                row_steps = steps[i, :n]
-                norms[i] = float(_power_root(lambda x: np.sum(x**r * (p / r) * row_steps), prof.values[i, :n], r, diverged))
+                norms[i] = _weak_type_root(prof.values[i, :n], prof.cum[i, :n], p, r, diverged) if n else 0.0
     return norms
+
+
+def _weak_type_root(values: np.ndarray, cum: np.ndarray, p: float, r: float, diverged: str) -> float:
+    """Lorentz ``(p, r)`` norm of one nonempty profile row for finite ``r``, as
+    ``sum_i w_i**r * (p/r) * (1 - (S_{i-1}/S_i)**(r/p))`` over its weak-type
+    products ``w_i = value_i * S_i**(1/p)``, divided by their largest, which
+    multiplies the root back; each share is ``-expm1((r/p) * log(S_{i-1}/S_i))``,
+    so no value or mass is raised alone.  A root that is 0 or not finite
+    raises ``ArithmeticError(diverged)``; callers turn overflow and invalid
+    warnings off."""
+    w = values * cum ** (1.0 / p)
+    top = w.max()
+    with np.errstate(divide="ignore"):  # the first step's log(0)
+        shares = -np.expm1((r / p) * np.log(np.concatenate(([0.0], cum[:-1])) / cum))
+    norm = float(np.sum((w / top) ** r * shares) * (p / r)) ** (1.0 / r) * float(top)
+    if not 0.0 < norm < _INF:
+        raise ArithmeticError(diverged)
+    return norm
 
 
 def lorentz_norm(v, params) -> float:
@@ -429,9 +451,11 @@ def lorentz_norm(v, params) -> float:
     row kernel :func:`_lorentz_rows`: each piece contributes
     ``value**r * (p/r) * (S_i**(r/p) - S_{i-1}**(r/p))``.  For ``r = inf``
     the norm is ``sup_s s**(1/p) f*(s) = max_i value_i * S_i**(1/p)``, the
-    weak-type norm.  A finite-``r`` sum that leaves the normal float range is
-    redone on the values divided by the largest one (see
-    :func:`_power_root`).  A norm that leaves the float range raises
+    weak-type norm.  A finite-``r`` sum whose powers leave the normal float
+    range is redone on the weak-type products ``value_i * S_i**(1/p)``
+    divided by the largest one (see :func:`_weak_type_root`), so scaling the
+    values or the masses by any factor that keeps the norm a normal float
+    scales the norm alike.  A norm that leaves the float range raises
     ``ArithmeticError``.
     """
     params = _as_lorentz_params(params)

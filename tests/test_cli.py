@@ -428,6 +428,19 @@ class TestInterpCommand:
         assert main(["interp", "--check", "fourier-phase"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("check", ["duality", "layer-cake", "reiteration"])
+    def test_huge_second_exponent_keeps_the_lorentz_norms_finite(self, check, capsys):
+        # at r = 1e300 the powers value**r and S**(r/p) leave the float range
+        # on every row, the values divided by their largest included; the
+        # Lorentz norms come from the weak-type products value * S**(1/p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["interp", "--check", check, "--r", "1e300", "--suite-size", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        _, _, rows = split_csv(captured.out)
+        assert len(rows) == 3 and all(math.isfinite(float(row[3])) for row in rows)
+
     def test_check_choices_keep_their_order(self):
         assert tuple(CHECKS) == ("k-equivalence", "layer-cake", "partition", "duality", "reiteration")
 
@@ -698,6 +711,22 @@ class TestSharpnessCommand:
                      "--r0", "1", "--r1", "1"])
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
+
+    def test_masses_past_the_float_range_keep_the_dual_norm(self, capsys):
+        # r = 2 != p = 3.75: at L = 1024 the merged values reach 2**563 and the
+        # first cumulative mass is 2**-778, so the plain Lorentz power sum of
+        # g_L is not a normal float; its norm still grows with L
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sharpness", "--alpha", "0.3", "--beta", "0.2", "--q0", "1.5", "--q1", "inf",
+                         "--r0", "2", "--r1", "2", "--moments", "3", "--Lmin", "128", "--Lmax", "1024"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        _, _, rows, payload = split_sharpness_output(captured.out)
+        dual = [float(row[4]) for row in rows]
+        assert dual == sorted(dual)
+        assert dual[-1] == pytest.approx(40.05, rel=1e-3)
+        assert payload["slopes"]["ratio"] == pytest.approx(payload["expected"]["ratio"], abs=0.005)
 
     def test_float_range_exhaustion_is_runtime_failure(self, capsys):
         # At scale 2048 the counts 2**(delta*j) = 2**(j/2) overflow before any

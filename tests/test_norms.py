@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_step_values
@@ -32,6 +32,7 @@ from lplorentz.norms import (
     _profile_from_sorted,
     _profile_rows,
 )
+from lplorentz.interpolation import InterpParams, interpolation_norm_K
 from lplorentz.spectral import GridSpec, SampledField, decompose, lowest_scale_for_dc_only
 
 INF = math.inf
@@ -384,10 +385,9 @@ class TestLorentzNorm:
         "values, masses, params",
         [
             ([1e300, 3e299], [1e20, 1e20], (2.0, 2.0)),  # values**r and the norm overflow
-            ([2.0, 1.0], [1e300, 1e300], (2.0, 4.0)),  # S**(r/p) overflows, inf - inf
             ([1e200], [1e300], (1.01, INF)),  # value * S**(1/p) overflows
         ],
-        ids=["value-power", "mass-power", "weak-type"],
+        ids=["value-power", "weak-type"],
     )
     def test_overflow_raises_without_runtime_warning(self, values, masses, params):
         # stderr must not depend on where numpy's warning points to
@@ -396,6 +396,14 @@ class TestLorentzNorm:
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match="diverged"):
                 lorentz_norm(v, LorentzParams(*params))
+
+    def test_mass_powers_past_the_float_range_leave_a_finite_norm(self):
+        # S**(r/p) overflows, inf - inf, on the values and on the values
+        # rescaled by their largest; the norm (0.5 * 19e600)**(1/4) is finite
+        v = MeasuredValues(np.array([2.0, 1.0]), np.array([1e300, 1e300]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lorentz_norm(v, LorentzParams(2.0, 4.0)) == pytest.approx(9.5**0.25 * 1e150, rel=1e-15)
 
 
     @pytest.mark.parametrize(
@@ -641,3 +649,70 @@ class TestHomogeneityOverTheFloatRange:
             assert self._norm(space, lam) == pytest.approx(expected, rel=1e-12), k
             checked += 1
         assert checked > 600
+
+
+# 30 values and 30 masses drawn at seed 0, pinned as a scaling example below:
+# scaled by 2**500 and 2**-1000, the plain Lorentz (1.36, 2) sum is not a
+# float and the values divided by their largest do not rescue it either
+_LOGNORMAL = np.random.default_rng(0).lognormal(size=(2, 30)).tolist()
+scale_exponent = st.integers(-1000, 1000)
+
+
+class TestLorentzScaling:
+    """``||f(./mu) * lam||_{p,r} = lam * mu**(1/p) * ||f||_{p,r}`` for a step
+    function whose values are scaled by ``lam`` and masses by ``mu``, both
+    powers of two in ``2**[-1000, 1000]``: either factor may take the power
+    sum out of the float range while the norm stays a normal float."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)), min_size=1, max_size=30),
+        scale_exponent,
+        scale_exponent,
+        st.sampled_from([(1.36, 2.0), (2.0, 2.0), (3.0, 1.3), (1.5, 4.0)]),
+    )
+    @example([tuple(pair) for pair in zip(*_LOGNORMAL)], 500, -1000, (1.36, 2.0))
+    def test_values_and_masses_scale_the_norm(self, entries, a, b, params):
+        values, masses = np.array(entries).T
+        tiny = np.finfo(float).tiny
+        scaled = MeasuredValues(values * 2.0**a, masses * 2.0**b)
+        # every scaled value and mass, and the total mass, is a normal float
+        assume(scaled.values.min() >= tiny and scaled.masses.min() >= tiny)
+        assume(scaled.values.max() < INF and np.sum(scaled.masses) < INF)
+        base = lorentz_norm(MeasuredValues(values, masses), LorentzParams(*params))
+        shift = round(b / params[0])
+        assume(-1000 < a + shift + math.log2(base) < 1000)
+        expected = math.ldexp(base * 2.0 ** (b / params[0] - shift), a + shift)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lorentz_norm(scaled, LorentzParams(*params)) == pytest.approx(expected, rel=1e-12)
+
+
+class TestPythonFloatResults:
+    """The norms return Python floats, on in-range input and on input whose
+    power sums leave the float range; ``norm`` writes them through
+    ``json.dumps``.  The K-norm has no rescue, so it is checked in range."""
+
+    GRID = GridSpec(1, 1024, TWO_PI)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1e-200, 1e200])
+    def test_norms_of_a_scaled_cosine(self, amplitude):
+        field = SampledField(self.GRID, amplitude * np.cos(4.0 * self.GRID.axis_coordinates()))
+        v = MeasuredValues.from_field(field)
+        d = decompose(field, lowest_scale_for_dc_only(self.GRID), 7)
+        got = [
+            lebesgue_norm(v, 2.0),
+            lebesgue_norm(v, INF),
+            lorentz_norm(v, LorentzParams(2.0, 2.0)),
+            lorentz_norm(v, LorentzParams(2.0, INF)),
+            besov_seminorm(d, BesovParams(0.5, 2.0, 2.0)),
+            triebel_seminorm(d, BesovParams(0.5, 2.0, 2.0)),
+        ]
+        if amplitude == 1.0:
+            got.append(interpolation_norm_K(v, InterpParams(theta=0.5, r=2.0)))
+        assert [type(x) for x in got] == [float] * len(got)
+
+    def test_lorentz_norm_on_the_weak_type_products(self):
+        values, masses = np.array(_LOGNORMAL)
+        v = MeasuredValues(values * 2.0**500, masses * 2.0**-1000)
+        assert type(lorentz_norm(v, LorentzParams(1.36, 2.0))) is float
