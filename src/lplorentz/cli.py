@@ -266,7 +266,7 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
     levels = default_level_grid(args.Lmin, args.Lmax)
     result = growth_experiment(params, atom, levels)
     header = _config_echo(args)
-    emit_report(result.records, list(result.records[0]), header, summary=result.slopes, fmt="csv", path=args.out)
+    emit_report(result.records, list(result.records[0]), header, fmt="csv", path=args.out)
     slopes_payload = {
         "header": header,
         "slopes": result.slopes,

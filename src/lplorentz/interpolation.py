@@ -394,7 +394,7 @@ def _j_bounds(owner: np.ndarray, scales: np.ndarray, norms0: np.ndarray, norms1:
 # ---------------------------------------------------------------------------
 
 
-def _threshold_index(d: np.ndarray, base: float = 2.0) -> np.ndarray:
+def _threshold_index(d: np.ndarray, base: float) -> np.ndarray:
     """Integers ``k`` with ``base**k < d <= base**(k+1)`` for each entry of the
     nonempty positive array ``d`` and ``base > 1``, exact under Python's float
     ``pow``: a logarithm puts each ``k`` within one of its estimate, and one
