@@ -397,7 +397,7 @@ def _lorentz_rows(prof: _Profiles, p: float, r: float) -> list[float]:
     place; a row past its length adds nothing.  Each row's sum is taken over
     its length (see :func:`_row_sums`) and its root as a Python float.  That
     root keeps its bits where the sum and the row's smallest factors, its
-    last value's power and its first mass power, are normal floats; any
+    smallest value's power and its first mass power, are normal floats; any
     other nonempty row is redone on its weak-type products
     (:func:`_weak_type_root`), since a subnormal factor carries too few bits.
     For ``r = inf`` the norm is ``max_i value_i * S_i**(1/p)``.  A norm that
@@ -413,8 +413,9 @@ def _lorentz_rows(prof: _Profiles, p: float, r: float) -> list[float]:
                 raise ArithmeticError(diverged)
             return norms
         steps = prof.cum ** (r / p)
-        # each row's smallest factors: its first mass power and its smallest value's power
-        floors = np.minimum(steps[:, 0], prof.values.min(axis=1, initial=_INF, where=prof.values > 0.0) ** r).tolist()
+        # each row's smallest factors: its first mass power and its last value's power
+        last = prof.values[:, -1] if prof.lengths is None else prof.values[np.arange(prof.lengths.size), prof.lengths - 1]
+        floors = np.minimum(steps[:, 0], last**r).tolist()
         steps[:, 1:] -= steps[:, :-1]
         norms = _row_sums(prof.values**r * (p / r) * steps, prof.lengths).tolist()
         for i, (total, floor) in enumerate(zip(norms, floors)):

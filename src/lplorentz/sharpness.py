@@ -462,9 +462,9 @@ def pairing(f: AtomicSum, g: AtomicSum) -> float:
 
 
 def _running_pairings(f: AtomicSum, g: AtomicSum) -> list[float]:
-    """Left-to-right running sums of the :func:`pairing` terms, one per scale."""
+    """Left-to-right running sums of the :func:`pairing` terms: entry ``k`` sums the first ``k`` scales."""
     pair_exp = f.coeff_exp + g.coeff_exp - f.n
-    return list(accumulate(c * 2.0 ** (j * pair_exp) for j, c in zip(f.scales, f.counts)))
+    return list(accumulate((c * 2.0 ** (j * pair_exp) for j, c in zip(f.scales, f.counts)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +545,7 @@ def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResu
     ):
         besov0 = constant0 * 2.0**log0
         besov1 = constant1 * 2.0**log1
-        pair = running_pairs[level - 1] * atom.l2_norm_sq
+        pair = running_pairs[level] * atom.l2_norm_sq
         lorentz_lower = pair / g_dual_norm
         rhs_product = besov0 ** (1.0 - theta) * besov1**theta
         records.append(
