@@ -431,8 +431,8 @@ class TestInterpCommand:
     @pytest.mark.parametrize("check", ["duality", "layer-cake", "reiteration"])
     def test_huge_second_exponent_keeps_the_lorentz_norms_finite(self, check, capsys):
         # at r = 1e300 the powers value**r and S**(r/p) leave the float range
-        # on every row, the values divided by their largest included; the
-        # Lorentz norms come from the weak-type products value * S**(1/p)
+        # on every row; the Lorentz norms come from the weak-type products
+        # value * S**(1/p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["interp", "--check", check, "--r", "1e300", "--suite-size", "3"])

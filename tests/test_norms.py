@@ -398,8 +398,8 @@ class TestLorentzNorm:
                 lorentz_norm(v, LorentzParams(*params))
 
     def test_mass_powers_past_the_float_range_leave_a_finite_norm(self):
-        # S**(r/p) overflows, inf - inf, on the values and on the values
-        # rescaled by their largest; the norm (0.5 * 19e600)**(1/4) is finite
+        # S**(r/p) overflows, inf - inf, whatever the values are divided by;
+        # the norm (0.5 * 19e600)**(1/4) is finite
         v = MeasuredValues(np.array([2.0, 1.0]), np.array([1e300, 1e300]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -652,8 +652,9 @@ class TestHomogeneityOverTheFloatRange:
 
 
 # 30 values and 30 masses drawn at seed 0, pinned as a scaling example below:
-# scaled by 2**500 and 2**-1000, the plain Lorentz (1.36, 2) sum is not a
-# float and the values divided by their largest do not rescue it either
+# scaled by 2**500 and 2**-1000, the mass powers S**(r/p) of the Lorentz
+# (1.36, 2) sum underflow, so dividing the values by their largest alone
+# would still read 0
 _LOGNORMAL = np.random.default_rng(0).lognormal(size=(2, 30)).tolist()
 scale_exponent = st.integers(-1000, 1000)
 
