@@ -54,6 +54,7 @@ from .norms import (
     _Profiles,
     _profile_rows,
     _row_sums,
+    _TINY,
     conjugate_exponent,
     rearrangement,
 )
@@ -241,15 +242,17 @@ def interpolation_norm_K(v, params: InterpParams) -> float:
     return _k_norm_rows(_one_profile(prof), params.theta, params.r)[0]
 
 
-# an overflow surfaces as a non-finite integral, reported without numpy warnings
-@np.errstate(over="ignore", invalid="ignore")
+# an overflow or underflow surfaces in the row totals, reported without numpy warnings
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _k_norm_rows(prof: _Profiles, theta: float, r: float) -> list[float]:
     """:func:`interpolation_norm_K` of each profile row of ``prof``.
 
-    The panels of all interior pieces of all rows form one node array; each
-    row's quadrature sum is its own matrix product over its panels, and its
-    closed-form end pieces and root are Python-float operations, as they are
-    for the row alone."""
+    ``log(t**(-theta) K(t))`` is convex in ``ln t`` on each piece, so a row's
+    largest, ``m``, is at a breakpoint.  The closed-form end pieces and the
+    panel nodes are formed over ``e**(m*r)``, so none exceeds 1; each row sums
+    its own panels in order, as alone.  A norm past the float range raises,
+    and so does a total below the normal range: at large ``r`` the ln 2
+    panels miss the peak."""
     values, cum = prof.values, prof.cum
     rows, width = values.shape
     lengths = np.full(rows, width) if prof.lengths is None else prof.lengths
@@ -261,43 +264,40 @@ def _k_norm_rows(prof: _Profiles, theta: float, r: float) -> list[float]:
         # a row repeats its last product past its length; an empty row gives 0
         return (np.where(cum > 0.0, cum, 1.0) ** (-theta) * prefix).max(axis=1, initial=0.0).tolist()
 
+    # log(t**(-theta) K(t)) at each breakpoint, repeated past a row's length; NaN in an empty row
+    peak = np.log(prefix) - theta * np.log(cum)
+    m = peak.max(axis=1)
     # interior piece i >= 1 of a row: K(t) = a + b*t on [S_{i-1}, S_i], u = ln t
     inner = np.arange(1, width) < lengths[:, None]
     b = values[:, 1:][inner]
     a = prefix[:, :-1][inner] - b * cum[:, :-1][inner]
     u0 = np.log(cum[:, :-1][inner])
-    span = np.log(cum[:, 1:][inner]) - u0
+    # from the mass ratio, so that scaling the masses by a power of 2 keeps the layout
+    span = np.log(cum[:, 1:][inner] / cum[:, :-1][inner])
     nseg = np.maximum(1, np.ceil(span / _LN2)).astype(np.int64)
     piece = np.repeat(np.arange(b.size), nseg)
+    owner = np.nonzero(inner)[0][piece]
     panel = np.arange(piece.size) - np.repeat(np.cumsum(nseg) - nseg, nseg)
     half = (span / (2 * nseg))[piece]
-    # u and (a + b*e**u)**r * e**(-theta*r*u), formed in place to hold two node arrays at most
+    # u and ((a + b*e**u) * e**(-theta*u - m))**r, formed in place to hold two node arrays at most
     u = half[:, None] * _GL_NODES
     u += (u0[piece] + (2 * panel + 1) * half)[:, None]
     integrand = np.exp(u)
     integrand *= b[piece, None]
     integrand += a[piece, None]
-    integrand **= r
-    u *= -theta * r
+    u *= -theta
+    u -= m[owner, None]
     integrand *= np.exp(u, out=u)
-    ends = np.cumsum(np.bincount(np.nonzero(inner)[0][piece], minlength=rows)).tolist()
-
-    norms = []
-    for n, v0, s0, k_end, s_end, lo, hi in zip(lengths.tolist(), values[:, 0].tolist(), cum[:, 0].tolist(),
-                                              prefix[:, -1].tolist(), cum[:, -1].tolist(), [0] + ends, ends):
-        if n == 0:
-            norms.append(0.0)
-            continue
-        try:
-            total = v0**r * s0 ** ((1.0 - theta) * r) / ((1.0 - theta) * r)
-            total += k_end**r * s_end ** (-theta * r) / (theta * r)
-        except OverflowError:
-            total = _INF
-        total += float((integrand[lo:hi] @ _GL_WEIGHTS) @ half[lo:hi])
-        if not math.isfinite(total):
-            raise ArithmeticError("interpolation integral diverged on this profile")
-        norms.append(total ** (1.0 / r))
-    return norms
+    integrand **= r
+    total = np.exp(r * (peak[:, 0] - m)) / ((1.0 - theta) * r) + np.exp(r * (peak[:, -1] - m)) / (theta * r)
+    total += np.bincount(owner, (integrand * _GL_WEIGHTS).sum(axis=1) * half, minlength=rows)
+    norms = np.exp(m) * total ** (1.0 / r)
+    live = lengths > 0
+    if not (norms[live] < _INF).all():  # NaN fails
+        raise ArithmeticError("interpolation integral diverged on this profile")
+    if not (total[live] >= _TINY).all():
+        raise ArithmeticError(f"interpolation integral underflows at r={r!r}: the ln 2 panels miss its peak")
+    return np.where(live, norms, 0.0).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -444,14 +444,15 @@ class TestInterpCommand:
     def test_check_choices_keep_their_order(self):
         assert tuple(CHECKS) == ("k-equivalence", "layer-cake", "partition", "duality", "reiteration")
 
-    def test_diverged_k_norm_prints_only_the_failure_line(self, capsys):
+    def test_unresolved_k_norm_prints_only_the_failure_line(self, capsys):
+        # at r = 1e300 every term off a peak underflows on the ln 2 panels
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["interp", "--check", "k-equivalence", "--r", "600", "--suite-size", "3"])
+            code = main(["interp", "--check", "k-equivalence", "--r", "1e300", "--suite-size", "3"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == "failure: interpolation integral diverged on this profile\n"
+        assert captured.err == "failure: interpolation integral underflows at r=1e+300: the ln 2 panels miss its peak\n"
 
     @pytest.mark.parametrize(
         "flags, message",

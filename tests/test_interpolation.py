@@ -157,6 +157,25 @@ def k_functional_vectorized(v: MeasuredValues, t: np.ndarray) -> np.ndarray:
     return prefix[idx] + np.where(inside, prof.values[safe] * (tt - prev[safe]), 0.0)
 
 
+def k_norm_trapezoid(v: MeasuredValues, theta: float, r: float, n: int = 40001) -> float:
+    """The K-norm of ``v`` by the trapezoid rule in ``u = ln t``: ``n`` points
+    on each piece between breakpoints and 60 past the end ones, extrapolated
+    from ``n`` and ``2n - 1`` points (Richardson), with the integrand taken
+    relative to its largest value at a breakpoint so that no power overflows."""
+    cuts = np.log(rearrangement(v).cum_masses)
+    top = float(np.max(np.exp(-theta * cuts) * k_functional_vectorized(v, np.exp(cuts))))
+    edges = np.concatenate(([cuts[0] - 60.0], cuts, [cuts[-1] + 60.0]))
+
+    def trapezoid(points):
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            u = np.linspace(lo, hi, points)
+            total += np.trapezoid((np.exp(-theta * u) * k_functional_vectorized(v, np.exp(u)) / top) ** r, u)
+        return total
+
+    return top * ((4.0 * trapezoid(2 * n - 1) - trapezoid(n)) / 3.0) ** (1.0 / r)
+
+
 class TestKFunctional:
     def test_counting_oracle(self):
         v = MeasuredValues.from_sequence([3.0, 2.0, 1.0])
@@ -184,12 +203,16 @@ class TestInterpolationNormK:
         params = InterpParams(0.5, 2.0)
         assert interpolation_norm_K(v, params) == interpolation_norm_K(MeasuredValues([3.0], [1e20]), params)
 
-    def test_overflow_raises_without_runtime_warning(self):
-        v = MeasuredValues(np.array([40.0, 3.0]), np.array([1.0, 2.0]))
+    def test_large_r_stays_in_range_and_an_overflowing_norm_raises(self):
+        # 1e3**128 overflows, but every term is taken relative to the row's peak
+        v = MeasuredValues(np.array([1e3, 3.0]), np.array([1.0, 2.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            got = interpolation_norm_K(v, InterpParams(0.5, 128.0))
+            # the norm 4 * 1.5e308 itself leaves the float range
             with pytest.raises(ArithmeticError, match="diverged"):
-                interpolation_norm_K(v, InterpParams(0.5, 600.0))
+                interpolation_norm_K(MeasuredValues([1.5e308], [1.0]), InterpParams(0.5, 1.0))
+        assert got == pytest.approx(k_norm_trapezoid(v, 0.5, 128.0), rel=1e-8)
 
     def test_indicator_closed_form(self):
         for theta in (0.25, 0.5, 0.8):
@@ -264,6 +287,38 @@ class TestInterpolationNormK:
             InterpParams(0.5, 0.9)
         with pytest.raises(ValueError):
             InterpParams(0.5, 2.0, rho=1.0)
+
+
+class TestKNormScaling:
+    """``interpolation_norm_K`` of a step function whose values are scaled by
+    ``2**a`` and masses by ``2**b``, for ``a, b`` in ``[-1000, 1000]``, is the
+    norm scaled by ``2**a * 2**(b*(1-theta))``, wherever every scaled
+    ``value * mass``, ``K`` at the total mass and the norm are normal floats:
+    either factor may take the plain powers out of the float range."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)), min_size=1, max_size=30),
+        st.integers(-1000, 1000),
+        st.integers(-1000, 1000),
+        st.sampled_from([1.0, 1.3, 2.0, 4.0, 32.0, 128.0, 600.0]),
+        st.sampled_from([0.25, 0.5, 2.0 / 3.0]),
+    )
+    def test_values_and_masses_scale_the_norm(self, entries, a, b, r, theta):
+        values, masses = np.array(entries).T
+        scaled = MeasuredValues(values * 2.0**a, masses * 2.0**b)
+        with np.errstate(over="ignore"):
+            products = scaled.values * scaled.masses
+        assume(products.min() >= np.finfo(float).tiny and np.sum(products) < INF)
+        params = InterpParams(theta, r)
+        base = interpolation_norm_K(MeasuredValues(values, masses), params)
+        exponent = b * (1.0 - theta)
+        shift = round(exponent)
+        assume(-1000 < a + shift + math.log2(base) < 1000)
+        expected = math.ldexp(base * 2.0 ** (exponent - shift), a + shift)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert interpolation_norm_K(scaled, params) == pytest.approx(expected, rel=1e-12)
 
 
 class TestWeightedDecompositionBound:
