@@ -368,10 +368,13 @@ def _power_root(power_sum, x: np.ndarray, p: float, diverged: str, axis=None):
     """``power_sum(x) ** (1/p)`` for a sum of ``p``-th powers of the
     nonnegative ``x`` reduced over ``axis``, 0-d when ``axis`` is None.
 
-    A power sum that is a normal float keeps the bits of its plain root.  One
-    that is zero, subnormal or not finite is redone on its reduced slice of
-    ``x`` divided by that slice's largest entry, and that maximum multiplies
-    the root back; where that root leaves the float range too, it raises
+    A power sum that is a normal float keeps the bits of its plain root,
+    unless its positive entries whose powers fall below the normal range
+    carry enough mass to move it by more than half an ulp: each such power
+    is off by up to half the smallest subnormal, ``_TINY * 2**-53`` per unit
+    mass.  Any other sum is redone on its reduced slice of ``x`` divided by
+    that slice's largest entry, and that maximum multiplies the root back;
+    where that root leaves the float range too, it raises
     ``ArithmeticError(diverged.format(p=p))``.  Callers run it with overflow
     and invalid warnings off, so only that error reports an overflow.  The
     row kernel :func:`_lorentz_rows` rescues its rows on their weak-type
@@ -379,11 +382,16 @@ def _power_root(power_sum, x: np.ndarray, p: float, diverged: str, axis=None):
     """
     total = power_sum(x)
     root = total ** (1.0 / p)
-    if _TINY <= total.min(initial=_INF) and total.max(initial=0.0) < _INF:
+    plain = (total >= _TINY) & (total < _INF)
+    small = (x > 0.0) & (x < _TINY ** (1.0 / p))
+    if small.any():
+        # the mass of the small entries, as the power sum of their indicator
+        plain &= power_sum(small.astype(float)) * _TINY <= np.spacing(total) * 2.0**52
+    if plain.all():
         return root
     top = x.max(axis=axis, keepdims=True, initial=0.0)
     rescaled = power_sum(x / np.where(top > 0.0, top, 1.0)) ** (1.0 / p) * top.reshape(np.shape(total))
-    norm = np.where((total >= _TINY) & (total < _INF), root, rescaled)
+    norm = np.where(plain, root, rescaled)
     if not np.isfinite(norm).all():
         raise ArithmeticError(diverged.format(p=p))
     return norm
