@@ -256,9 +256,7 @@ def _k_norm_rows(prof: _Profiles, theta: float, r: float) -> list[float]:
     values, cum = prof.values, prof.cum
     rows, width = values.shape
     lengths = np.full(rows, width) if prof.lengths is None else prof.lengths
-    prev = np.zeros_like(cum)
-    prev[:, 1:] = cum[:, :-1]
-    prefix = np.cumsum(values * (cum - prev), axis=1)
+    prefix = np.cumsum(values * np.diff(cum, axis=1, prepend=0.0), axis=1)
 
     if r == _INF:
         # a row repeats its last product past its length; an empty row gives 0
@@ -289,8 +287,9 @@ def _k_norm_rows(prof: _Profiles, theta: float, r: float) -> list[float]:
     u -= m[owner, None]
     integrand *= np.exp(u, out=u)
     integrand **= r
+    integrand *= _GL_WEIGHTS
     total = np.exp(r * (peak[:, 0] - m)) / ((1.0 - theta) * r) + np.exp(r * (peak[:, -1] - m)) / (theta * r)
-    total += np.bincount(owner, (integrand * _GL_WEIGHTS).sum(axis=1) * half, minlength=rows)
+    total += np.bincount(owner, integrand.sum(axis=1) * half, minlength=rows)
     norms = np.exp(m) * total ** (1.0 / r)
     live = lengths > 0
     if not (norms[live] < _INF).all():  # NaN fails
