@@ -309,7 +309,8 @@ class TestKNormScaling:
         scaled = MeasuredValues(values * 2.0**a, masses * 2.0**b)
         with np.errstate(over="ignore"):
             products = scaled.values * scaled.masses
-        assume(products.min() >= np.finfo(float).tiny and np.sum(products) < INF)
+            k_total = np.sum(products)
+        assume(products.min() >= np.finfo(float).tiny and k_total < INF)
         params = InterpParams(theta, r)
         base = interpolation_norm_K(MeasuredValues(values, masses), params)
         exponent = b * (1.0 - theta)
