@@ -76,7 +76,6 @@ from .sharpness import (
     default_level_grid,
     growth_experiment,
     pairing,
-    scale_counts,
     solve_exponents,
 )
 

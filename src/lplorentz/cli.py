@@ -219,9 +219,13 @@ def _emit_suite(args: argparse.Namespace, records: list[dict]) -> int:
     return 0
 
 
+# the flags of the case exponents, by which the parameter checks name them
+_CASE_FLAGS = ("--alpha", "--beta", "--q0", "--q1")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     case = CaseParams(
-        args.alpha, args.beta, args.q0, args.q1, args.r0, args.r1, None if args.auto_r_star else args.r
+        args.alpha, args.beta, args.q0, args.q1, args.r0, args.r1, None if args.auto_r_star else args.r, _CASE_FLAGS
     )
     if not (_is_power_of_two(args.grid) and args.grid >= 8):
         raise ValueError(f"--grid must be a power of two >= 8, got {args.grid}")
@@ -253,7 +257,7 @@ def _atom(moments: int) -> Atom:
 
 def _cmd_sharpness(args: argparse.Namespace) -> int:
     params = build_params(
-        args.n, args.alpha, args.beta, args.q0, args.q1, args.r0, args.r1, r=args.r
+        args.n, args.alpha, args.beta, args.q0, args.q1, args.r0, args.r1, r=args.r, names=_CASE_FLAGS
     )
     if not 1 <= args.Lmin < args.Lmax:
         raise ValueError(f"need 1 <= --Lmin < --Lmax, got {args.Lmin} and {args.Lmax}")

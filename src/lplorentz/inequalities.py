@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -72,6 +72,9 @@ class CaseParams:
 
     ``r_star`` is the natural composed outer exponent: ratios stay bounded
     when ``1/r <= 1/r_star`` and grow otherwise.
+
+    ``names`` are the words by which errors about ``alpha, beta, q0, q1``
+    call them (the CLI passes its flags); it is not stored.
     """
 
     alpha: float
@@ -81,16 +84,19 @@ class CaseParams:
     r0: float
     r1: float
     r: float | None = None
+    names: InitVar[tuple[str, str, str, str]] = ("alpha", "beta", "q0", "q1")
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, names: tuple[str, str, str, str]) -> None:
         alpha, beta = self.alpha, self.beta
         if not (math.isfinite(alpha) and alpha > 0 and math.isfinite(beta) and beta > 0):
-            raise ValueError("alpha and beta must be positive reals")
+            raise ValueError(f"{names[0]} and {names[1]} must be positive reals")
         for name in ("q0", "q1", "r0", "r1"):
             object.__setattr__(self, name, _check_exponent(name, getattr(self, name)))
         if not 1.0 < self.p < _INF:
             raise ValueError(
-                f"composed integrability 1/p={_inv(self.p)!r} leaves (0, 1); p must be in (1, inf)"
+                f"composed integrability 1/p={_inv(self.p)!r} leaves (0, 1): {names[0]}={alpha!r} and "
+                f"{names[1]}={beta!r} give theta={self.theta!r} on {names[2]}={self.q0!r} and "
+                f"{names[3]}={self.q1!r}; p must be in (1, inf)"
             )
         r = self.r_star if self.r is None else _check_exponent("r", self.r)
         object.__setattr__(self, "r", r)

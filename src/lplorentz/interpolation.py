@@ -252,15 +252,27 @@ def _k_norm_rows(prof: _Profiles, theta: float, r: float) -> list[float]:
     panel nodes are formed over ``e**(m*r)``, so none exceeds 1; each row sums
     its own panels in order, as alone.  A norm past the float range raises,
     and so does a total below the normal range: at large ``r`` the ln 2
-    panels miss the peak."""
-    values, cum = prof.values, prof.cum
-    rows, width = values.shape
+    panels miss the peak.
+
+    Each row is first divided, exactly, by the powers of two ``2**ev`` and
+    ``2**ec`` nearest its largest value and its total mass, so that ``K``
+    stays in the normal range where ``value * mass`` would not; the norm of
+    the scaled row times ``2**(ev + ec*(1-theta))`` is the row's norm."""
+    rows, width = prof.values.shape
     lengths = np.full(rows, width) if prof.lengths is None else prof.lengths
+    ev = np.frexp(prof.values.max(axis=1, initial=0.0))[1]
+    ec = np.frexp(prof.cum.max(axis=1, initial=0.0))[1]
+    values, cum = np.ldexp(prof.values, -ev[:, None]), np.ldexp(prof.cum, -ec[:, None])
     prefix = np.cumsum(values * np.diff(cum, axis=1, prepend=0.0), axis=1)
+    # the norm of a scaled row times factor * 2**power is the row's norm
+    shift = ec * (1.0 - theta)
+    whole = np.floor(shift)
+    factor, power = 2.0 ** (shift - whole), ev + whole.astype(np.int64)
 
     if r == _INF:
         # a row repeats its last product past its length; an empty row gives 0
-        return (np.where(cum > 0.0, cum, 1.0) ** (-theta) * prefix).max(axis=1, initial=0.0).tolist()
+        norms = (np.where(cum > 0.0, cum, 1.0) ** (-theta) * prefix).max(axis=1, initial=0.0)
+        return np.ldexp(norms * factor, power).tolist()
 
     # log(t**(-theta) K(t)) at each breakpoint, repeated past a row's length; NaN in an empty row
     peak = np.log(prefix) - theta * np.log(cum)
@@ -290,7 +302,7 @@ def _k_norm_rows(prof: _Profiles, theta: float, r: float) -> list[float]:
     integrand *= _GL_WEIGHTS
     total = np.exp(r * (peak[:, 0] - m)) / ((1.0 - theta) * r) + np.exp(r * (peak[:, -1] - m)) / (theta * r)
     total += np.bincount(owner, integrand.sum(axis=1) * half, minlength=rows)
-    norms = np.exp(m) * total ** (1.0 / r)
+    norms = np.ldexp(np.exp(m) * total ** (1.0 / r) * factor, power)
     live = lengths > 0
     if not (norms[live] < _INF).all():  # NaN fails
         raise ArithmeticError("interpolation integral diverged on this profile")

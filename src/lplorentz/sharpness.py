@@ -63,7 +63,6 @@ __all__ = [
     "build_atom",
     "solve_exponents",
     "build_params",
-    "scale_counts",
     "build_closed_form_family",
     "atomic_besov_upper",
     "atomic_distribution",
@@ -176,7 +175,9 @@ def build_atom(moments: int) -> Atom:
 # ---------------------------------------------------------------------------
 
 
-def solve_exponents(n: int, alpha: float, beta: float, q0: float, q1: float) -> tuple[float, float, float]:
+def solve_exponents(
+    n: int, alpha: float, beta: float, q0: float, q1: float, names=("alpha", "beta", "q0", "q1")
+) -> tuple[float, float, float]:
     """Solve for ``(delta, X, Y)`` making all per-scale contributions equal.
 
     The system is::
@@ -190,19 +191,20 @@ def solve_exponents(n: int, alpha: float, beta: float, q0: float, q1: float) -> 
     identity ``X + Y - n + delta = 0`` then hold automatically.  Requires
     ``q0 != q1`` and a resulting ``delta`` in ``[0, n)`` (otherwise the
     per-scale atom counts are not realizable and an error reports the value).
+    Errors call ``alpha, beta, q0, q1`` by ``names``.
     """
     if n < 1:
         raise ValueError("dimension n must be >= 1")
     if not (alpha > 0 and beta > 0):
-        raise ValueError("alpha and beta must be positive")
+        raise ValueError(f"{names[0]} and {names[1]} must be positive")
     iq0, iq1 = _inv(q0), _inv(q1)
     if iq0 == iq1:
-        raise ValueError("q0 and q1 must differ (the exponent solve divides by 1/q0 - 1/q1)")
+        raise ValueError(f"{names[2]} and {names[3]} must differ (the exponent solve divides by 1/q0 - 1/q1)")
     delta = n - (alpha + beta) / (iq0 - iq1)
     if not 0.0 <= delta < n:
         raise ValueError(
-            f"infeasible count exponent delta={delta!r}; need 0 <= delta < n "
-            f"for realizable per-scale counts"
+            f"infeasible count exponent delta={delta!r} from {names[0]}={alpha!r}, {names[1]}={beta!r}, "
+            f"{names[2]}={q0!r} and {names[3]}={q1!r}; need 0 <= delta < n for realizable per-scale counts"
         )
     x_exp = (n - delta) * iq0 - alpha
     y_exp = alpha + (n - delta) * (1.0 - iq0)
@@ -240,15 +242,17 @@ def build_params(
     r0: float,
     r1: float,
     r: float | None = None,
+    names=("alpha", "beta", "q0", "q1"),
 ) -> SharpnessParams:
     """Solve the exponent system and assemble a parameter set; ``r`` defaults
     to the composed exponent ``r_star``.  Only dimension 1 is supported for
-    the geometric constructions."""
+    the geometric constructions.  Errors call ``alpha, beta, q0, q1`` by
+    ``names``."""
     if n != 1:
         raise ValueError("only dimension n=1 is supported for atomic families")
     q0, q1 = _check_exponent("q0", q0), _check_exponent("q1", q1)
-    delta, x_exp, y_exp = solve_exponents(n, alpha, beta, q0, q1)
-    return SharpnessParams(alpha, beta, q0, q1, r0, r1, r, n=n, delta=delta, x_exp=x_exp, y_exp=y_exp)
+    delta, x_exp, y_exp = solve_exponents(n, alpha, beta, q0, q1, names)
+    return SharpnessParams(alpha, beta, q0, q1, r0, r1, r, names, n=n, delta=delta, x_exp=x_exp, y_exp=y_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -256,40 +260,24 @@ def build_params(
 # ---------------------------------------------------------------------------
 
 
-def scale_counts(delta: float, scales) -> list[float]:
-    """Per-scale atom counts ``A_j = 2**(delta*j)``, real values rather than
-    integers.  In exact arithmetic they make every scale contribute equally to
-    the closed forms; the computed contributions are equal only up to float
-    rounding.
-
-    Raises ``ArithmeticError`` naming the first scale whose count overflows
-    the float range.
-    """
-    counts = []
-    try:
-        for j in scales:
-            counts.append(2.0 ** (delta * j))
-    except OverflowError as exc:
-        raise ArithmeticError(f"atom count leaves the float range at scale {j}: {exc}") from None
-    return counts
-
-
 @dataclass(frozen=True, eq=False)
 class AtomicSum:
-    """Sum ``sum_j 2**(j*coeff_exp) * sum_k atom(2**j x - k)`` over ``counts[i]``
-    disjointly supported translates at each scale ``scales[i]``; the translates
-    are never materialized, only the closed forms below read the sum.
+    """Sum ``sum_j 2**(j*coeff_exp) * sum_k atom(2**j x - k)`` over
+    ``2**count_exps[i]`` disjointly supported translates at each scale
+    ``scales[i]``; the translates are never materialized, only the closed
+    forms below read the sum.  No closed form forms a count on its own, so
+    none leaves the float range.
     """
 
     atom: Atom
     n: int
     coeff_exp: float
     scales: tuple[int, ...]
-    counts: tuple[float, ...]
+    count_exps: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.scales) != len(self.counts):
-            raise ValueError("scales and counts must have equal length")
+        if len(self.scales) != len(self.count_exps):
+            raise ValueError("scales and count_exps must have equal length")
 
     def coefficient(self, j: int) -> float:
         return 2.0 ** (j * self.coeff_exp)
@@ -297,15 +285,16 @@ class AtomicSum:
 
 def build_closed_form_family(params: SharpnessParams, atom: Atom, levels: int) -> tuple[AtomicSum, AtomicSum]:
     """The pair ``(f_L, g_L)`` over the scales ``1..levels`` with the real
-    counts ``2**(delta*j)``; their Besov bounds and pairings are closed forms,
-    whose equal-contribution identities hold in exact arithmetic and only up
-    to float rounding in the computed values."""
+    counts ``2**(delta*j)``, held as their exponents ``delta*j``; their Besov
+    bounds and pairings are closed forms, whose equal-contribution identities
+    hold in exact arithmetic and only up to float rounding in the computed
+    values."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
     scales = tuple(range(1, levels + 1))
-    counts = tuple(scale_counts(params.delta, scales))
-    f_sum = AtomicSum(atom, params.n, params.x_exp, scales, counts)
-    g_sum = AtomicSum(atom, params.n, params.y_exp, scales, counts)
+    count_exps = tuple(params.delta * j for j in scales)
+    f_sum = AtomicSum(atom, params.n, params.x_exp, scales, count_exps)
+    g_sum = AtomicSum(atom, params.n, params.y_exp, scales, count_exps)
     return f_sum, g_sum
 
 
@@ -334,17 +323,14 @@ def _besov_terms(s: AtomicSum, space: BesovParams) -> tuple[float, np.ndarray]:
     """Calibration constant ``C_atom`` and per-scale base-2 exponents
     ``j*s' - j*n/q + log2 ||coeffs_j||_{l^q}`` of the closed-form bound of
     :func:`atomic_besov_upper`; the bound of the first ``L`` scales is
-    ``C_atom * 2**_power_sum_log2(exps[:L], space.q)``.  The logs of the
-    counts are Python's ``math.log2``, whose last bits numpy's ``log2`` need
-    not share."""
+    ``C_atom * 2**_power_sum_log2(exps[:L], space.q)``."""
     if abs(space.s) >= s.atom.moments:
         raise ValueError(
             f"|s|={abs(space.s)!r} must stay below the atom's vanishing-moment order {s.atom.moments}"
         )
     iq = _inv(space.p)
     slope = space.s + s.coeff_exp - s.n * iq
-    logs = np.fromiter(map(math.log2, s.counts), float, len(s.counts))
-    exps = np.asarray(s.scales, dtype=float) * slope + iq * logs
+    exps = np.asarray(s.scales, dtype=float) * slope + iq * np.asarray(s.count_exps, dtype=float)
     constant = _atom_besov_calibration(tuple(s.atom.profile_coefficients.tolist()), space.s, space.p, space.q)
     return constant, exps
 
@@ -352,7 +338,7 @@ def _besov_terms(s: AtomicSum, space: BesovParams) -> tuple[float, np.ndarray]:
 def atomic_besov_upper(s: AtomicSum, spaceparams) -> float:
     """Closed-form seminorm bound: ``C_atom * (sum_j (2**(j*s') * 2**(-j*n/q)
     * ||coeffs_j||_{l^q})**r)**(1/r)`` with the per-scale coefficient blocks
-    ``||coeffs_j||_{l^q} = counts[j]**(1/q) * 2**(j*coeff_exp)``.
+    ``||coeffs_j||_{l^q} = 2**(count_exps[j]/q) * 2**(j*coeff_exp)``.
 
     Evaluated in base-2 logs with max-shift so arbitrarily long families do
     not overflow.  The scales contribute equally in exact arithmetic; the
@@ -371,7 +357,7 @@ def atomic_distribution(s: AtomicSum) -> RearrangementProfile:
 
     Supports are disjoint, so the distribution is the sum of the per-scale
     distributions: scale ``j`` contributes the atom's rearrangement with
-    values scaled by ``2**(j*coeff_exp)`` and masses by ``counts[j] * 2**(-j*n)``.
+    values scaled by ``2**(j*coeff_exp)`` and masses by ``2**(count_exps[j] - j*n)``.
     The merge is exact for the atom sampled at 4096 midpoints;
     against the true atom it carries that sampling error, which acceptance
     test 8 bounds at 2 %.  A growth sweep merges only when ``r != p``; at
@@ -382,7 +368,7 @@ def atomic_distribution(s: AtomicSum) -> RearrangementProfile:
 
 def _scale_factors(s: AtomicSum, top_value: float, widths: np.ndarray) -> tuple[list[float], list[float]]:
     """Per-scale value factors ``2**(j*coeff_exp)`` and mass factors
-    ``counts[j] * 2**(-j*n)`` of ``s``.
+    ``2**(count_exps[j] - j*n)`` of ``s``, each formed as one power of two.
 
     Raises ``ArithmeticError`` naming the first scale at which a factor, the
     largest value or a mass entry overflows or underflows the float range.
@@ -390,9 +376,9 @@ def _scale_factors(s: AtomicSum, top_value: float, widths: np.ndarray) -> tuple[
     low, high = float(widths.min()), float(widths.max())
     coefs, factors = [], []
     try:
-        for j, c in zip(s.scales, s.counts):
+        for j, e in zip(s.scales, s.count_exps):
             coef = s.coefficient(j)
-            factor = c * 2.0 ** (-j * s.n)
+            factor = 2.0 ** (e - j * s.n)
             if not (0.0 < coef * top_value < _INF and 0.0 < factor * low and factor * high < _INF):
                 raise ArithmeticError(
                     f"atomic sum leaves the float range at scale {j}: "
@@ -435,7 +421,7 @@ def _dual_norms(s: AtomicSum, levels, dual: LorentzParams) -> list[float]:
 
     For ``r' = p'`` the space is ``L^{p'}`` and the supports are disjoint, so
     the norm is the ``l^{p'}`` sum of the per-scale norms
-    ``2**(j*coeff_exp) * (counts[j] * 2**(-j*n))**(1/p') * ||a||_{p'}``, with
+    ``2**(j*coeff_exp) * 2**((count_exps[j] - j*n)/p') * ||a||_{p'}``, with
     ``a`` the atom's sampled rearrangement (the entries
     :func:`atomic_distribution` merges).  It is summed in base-2 logs, so no
     level sorts and no scale leaves the float range.  For ``r' != p'`` each
@@ -445,18 +431,18 @@ def _dual_norms(s: AtomicSum, levels, dual: LorentzParams) -> list[float]:
         return [lorentz_norm(profile, dual) for profile in _prefix_distributions(s, levels)]
     scales = np.asarray(s.scales, dtype=float)
     log_atom = math.log2(lorentz_norm(s.atom.rearrangement, dual))
-    exps = scales * s.coeff_exp + (np.log2(s.counts) - scales * s.n) / dual.p + log_atom
+    exps = scales * s.coeff_exp + (np.asarray(s.count_exps) - scales * s.n) / dual.p + log_atom
     return [2.0**e for e in _prefix_power_sums_log2(exps, levels, dual.p)]
 
 
 def pairing(f: AtomicSum, g: AtomicSum) -> float:
     """Integral of ``f * g`` for two sums over the same atom layout, in closed
-    form: ``sum_j counts[j] * 2**(j*(Ef + Eg - n)) * ||atom||_{L2}**2``.  With
-    the solved exponents this equals ``||atom||_{L2}**2 * sum_j counts[j] *
-    2**(-j*delta)``; in exact arithmetic the sum is the number of scales, and
-    the computed one only up to float rounding (``7.999999999999922`` at
-    ``L = 8`` in the composed sweep)."""
-    if f.atom is not g.atom or f.scales != g.scales or f.counts != g.counts:
+    form: ``sum_j 2**(count_exps[j] + j*(Ef + Eg - n)) * ||atom||_{L2}**2``.
+    With the solved exponents ``Ef + Eg - n = -delta`` and ``count_exps[j] =
+    delta*j``, so in exact arithmetic every term is ``||atom||_{L2}**2`` and
+    the sum is the number of scales; the computed one is only up to float
+    rounding (``7.999999999999922`` at ``L = 8`` in the composed sweep)."""
+    if f.atom is not g.atom or f.scales != g.scales or f.count_exps != g.count_exps:
         raise ValueError("pairing requires the same atom layout on both factors")
     return _running_pairings(f, g)[-1] * f.atom.l2_norm_sq
 
@@ -464,7 +450,7 @@ def pairing(f: AtomicSum, g: AtomicSum) -> float:
 def _running_pairings(f: AtomicSum, g: AtomicSum) -> list[float]:
     """Left-to-right running sums of the :func:`pairing` terms: entry ``k`` sums the first ``k`` scales."""
     pair_exp = f.coeff_exp + g.coeff_exp - f.n
-    return list(accumulate((c * 2.0 ** (j * pair_exp) for j, c in zip(f.scales, f.counts)), initial=0.0))
+    return list(accumulate((2.0 ** (e + j * pair_exp) for j, e in zip(f.scales, f.count_exps)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

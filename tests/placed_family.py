@@ -5,11 +5,12 @@ The library only ever reads an :class:`~lplorentz.sharpness.AtomicSum`
 through closed forms with exact real counts ``2**(delta*j)``.  This oracle
 builds concrete instances instead: integer counts inside the admissible
 bracket, a disjoint placement of the translates, and samples of the sum on a
-grid.  A placed sum is a plain ``AtomicSum`` with integer counts plus a
-separate placement, which maps each scale to the integer center numerators
-``k`` of its translates (centers ``k * 2**-j``).  So the library's closed
-forms (distribution, pairing, Besov bound) run on placed instances unchanged,
-and tests compare them against the rasterized fields.
+grid.  A placed sum is a plain ``AtomicSum`` whose count exponents are the
+``math.log2`` of its integer counts, plus a separate placement, which maps
+each scale to the integer center numerators ``k`` of its translates (centers
+``k * 2**-j``).  So the library's closed forms (distribution, pairing, Besov
+bound) run on placed instances unchanged, and tests compare them against the
+rasterized fields.
 """
 
 from __future__ import annotations
@@ -72,12 +73,13 @@ def build_placed_family(params: SharpnessParams, atom: Atom, levels: int) -> Pla
     if levels < 1:
         raise ValueError("levels must be >= 1")
     scales = tuple(range(1, levels + 1))
-    counts = tuple(float(c) for c in integer_counts(params.delta, scales))
+    counts = integer_counts(params.delta, scales)
     placement, extent = place(scales, counts)
     if not verify_disjoint(scales, placement):
         raise ArithmeticError("placement produced overlapping supports")
-    f_sum = AtomicSum(atom, params.n, params.x_exp, scales, counts)
-    g_sum = AtomicSum(atom, params.n, params.y_exp, scales, counts)
+    count_exps = tuple(map(math.log2, counts))
+    f_sum = AtomicSum(atom, params.n, params.x_exp, scales, count_exps)
+    g_sum = AtomicSum(atom, params.n, params.y_exp, scales, count_exps)
     return PlacedFamily(f_sum, g_sum, placement, extent)
 
 
@@ -110,8 +112,8 @@ def rasterize(s: AtomicSum, placement: Placement, grid: GridSpec) -> SampledFiel
     """Sample the sum ``s`` with its translates at ``placement`` on a grid."""
     if len(placement) != len(s.scales):
         raise ValueError("placement must list one tuple of centers per scale")
-    if any(len(ks) != count for ks, count in zip(placement, s.counts)):
-        raise ValueError("placed sums need integer counts matching the placement")
+    if any(math.log2(len(ks)) != e for ks, e in zip(placement, s.count_exps)):
+        raise ValueError("placed sums need count exponents log2 of the placement lengths")
     if grid.dim != 1:
         raise ValueError("rasterization is one-dimensional")
     if any((max(ks) + 1) * 2.0**-j > grid.period for j, ks in zip(s.scales, placement) if ks):

@@ -227,6 +227,21 @@ class TestInterpolationNormK:
                     )
                     assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("value, mass", [(1e-160, 1e-160), (1e-200, 1e-200), (1e-300, 1e10)])
+    @pytest.mark.parametrize("r", [2.0, INF])
+    def test_single_step_closed_form_when_value_times_mass_is_subnormal(self, value, mass, r):
+        # value * mass is subnormal or 0 and |log K| is in the hundreds, yet
+        # the norm v * m**(1-theta) * (1/((1-theta)*r) + 1/(theta*r))**(1/r)
+        # is a normal float
+        theta = 0.5
+        want = value * mass ** (1.0 - theta)
+        if r != INF:
+            want *= (1.0 / ((1.0 - theta) * r) + 1.0 / (theta * r)) ** (1.0 / r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = interpolation_norm_K(MeasuredValues([value], [mass]), InterpParams(theta, r))
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_matches_quadrature_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(4):
@@ -292,9 +307,8 @@ class TestInterpolationNormK:
 class TestKNormScaling:
     """``interpolation_norm_K`` of a step function whose values are scaled by
     ``2**a`` and masses by ``2**b``, for ``a, b`` in ``[-1000, 1000]``, is the
-    norm scaled by ``2**a * 2**(b*(1-theta))``, wherever every scaled
-    ``value * mass``, ``K`` at the total mass and the norm are normal floats:
-    either factor may take the plain powers out of the float range."""
+    norm scaled by ``2**a * 2**(b*(1-theta))``, wherever the norm is a normal
+    float: either factor may take the plain powers out of the float range."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -307,10 +321,6 @@ class TestKNormScaling:
     def test_values_and_masses_scale_the_norm(self, entries, a, b, r, theta):
         values, masses = np.array(entries).T
         scaled = MeasuredValues(values * 2.0**a, masses * 2.0**b)
-        with np.errstate(over="ignore"):
-            products = scaled.values * scaled.masses
-            k_total = np.sum(products)
-        assume(products.min() >= np.finfo(float).tiny and k_total < INF)
         params = InterpParams(theta, r)
         base = interpolation_norm_K(MeasuredValues(values, masses), params)
         exponent = b * (1.0 - theta)
@@ -319,7 +329,7 @@ class TestKNormScaling:
         expected = math.ldexp(base * 2.0 ** (exponent - shift), a + shift)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert interpolation_norm_K(scaled, params) == pytest.approx(expected, rel=1e-12)
+            assert interpolation_norm_K(scaled, params) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestWeightedDecompositionBound:

@@ -686,7 +686,7 @@ class TestLorentzScaling:
         expected = math.ldexp(base * 2.0 ** (b / params[0] - shift), a + shift)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert lorentz_norm(scaled, LorentzParams(*params)) == pytest.approx(expected, rel=1e-12)
+            assert lorentz_norm(scaled, LorentzParams(*params)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestLebesgueScaling:
@@ -713,7 +713,7 @@ class TestLebesgueScaling:
         expected = math.ldexp(base * 2.0 ** (b / p - shift), a + shift)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert lebesgue_norm(scaled, p) == pytest.approx(expected, rel=1e-12)
+            assert lebesgue_norm(scaled, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestPythonFloatResults:

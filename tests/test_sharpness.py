@@ -6,6 +6,7 @@ appears here only to cross-check those on small instances.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ from lplorentz.sharpness import (
     default_level_grid,
     growth_experiment,
     pairing,
-    scale_counts,
     solve_exponents,
 )
 from lplorentz.spectral import GridSpec, decompose, lowest_scale_for_dc_only
@@ -59,7 +59,7 @@ def reference_distribution(s):
     base = s.atom.rearrangement
     widths = np.diff(np.concatenate(([0.0], base.cum_masses)))
     values = [base.values * s.coefficient(j) for j in s.scales]
-    masses = [widths * (c * 2.0 ** (-j * s.n)) for j, c in zip(s.scales, s.counts)]
+    masses = [widths * 2.0 ** (e - j * s.n) for j, e in zip(s.scales, s.count_exps)]
     return rearrangement(MeasuredValues(np.concatenate(values), np.concatenate(masses)))
 
 
@@ -155,6 +155,18 @@ class TestSolveExponents:
         with pytest.raises(ValueError):
             solve_exponents(1, -0.25, 0.25, 1.0, INF)
 
+    def test_infeasible_delta_names_the_parameters(self):
+        # 1/q0 - 1/q1 is one ulp, so delta = 1 - (alpha + beta)/ulp; the CLI
+        # passes its flags as the names
+        message = (
+            "infeasible count exponent delta=-2251799813685247.0 from alpha=0.25, beta=0.25, q0=1.0 and "
+            "q1=1.0000000000000002; need 0 <= delta < n for realizable per-scale counts"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_params(1, 0.25, 0.25, 1.0, 1.0000000000000002, 2.0, 2.0)
+        with pytest.raises(ValueError, match=r"^infeasible count exponent .* from --alpha=0\.25, --beta=0\.25, --q0="):
+            build_params(1, 0.25, 0.25, 1.0, 1.0000000000000002, 2.0, 2.0, names=("--alpha", "--beta", "--q0", "--q1"))
+
 
 class TestParams:
     def test_derived_quantities(self):
@@ -183,17 +195,18 @@ class TestParams:
             0.25, 0.25, 1.0, INF, 2.0, 2.0, n=1, delta=params.delta, x_exp=params.x_exp, y_exp=params.y_exp
         )
         assert isinstance(params, CaseParams)
-        # theta rounds to 0, so 1/p = 1/q0 = 1: the case check rejects it
-        with pytest.raises(ValueError, match=r"^composed integrability 1/p=1\.0 leaves \(0, 1\)"):
+        # theta is 4e-300, so 1/p = 1/q0 = 1: the case check rejects it
+        message = (
+            "composed integrability 1/p=1.0 leaves (0, 1): alpha=1e-300 and beta=0.25 give theta=4e-300 "
+            "on q0=1.0 and q1=inf; p must be in (1, inf)"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_params(1, 1e-300, 0.25, 1.0, INF, 2.0, 2.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CaseParams(1e-300, 0.25, 1.0, INF, 2.0, 2.0)
 
 
 class TestScaleCounts:
-    def test_exact_counts(self):
-        assert scale_counts(0.5, range(1, 5)) == pytest.approx(
-            [2.0**0.5, 2.0, 2.0**1.5, 4.0], rel=1e-15
-        )
-
     def test_integer_counts_stay_in_bracket(self):
         counts = integer_counts(0.5, range(1, 5))
         assert counts == [2, 2, 3, 5]
@@ -203,12 +216,6 @@ class TestScaleCounts:
     def test_zero_delta_gives_one_per_scale(self):
         assert integer_counts(0.0, range(1, 8)) == [1] * 7
 
-    def test_overflowing_count_names_its_scale(self):
-        # 2**(0.5 * 2048) = 2**1024 is past the largest float; scale 2047 fits
-        assert len(scale_counts(0.5, range(2045, 2048))) == 3
-        with pytest.raises(ArithmeticError, match="scale 2048:"):
-            scale_counts(0.5, range(2045, 2053))
-
 
 class TestFamilies:
     def test_closed_form_family_structure(self):
@@ -216,7 +223,7 @@ class TestFamilies:
         atom = build_atom(2)
         f_sum, g_sum = build_closed_form_family(params, atom, 3)
         assert f_sum.scales == (1, 2, 3) == g_sum.scales
-        assert f_sum.counts == pytest.approx((2.0**0.5, 2.0, 2.0**1.5), rel=1e-15)
+        assert f_sum.count_exps == (0.5, 1.0, 1.5) == g_sum.count_exps
         assert f_sum.coeff_exp == params.x_exp
         assert g_sum.coeff_exp == params.y_exp
         assert f_sum.coefficient(3) == 2.0 ** (3 * params.x_exp)
@@ -225,9 +232,9 @@ class TestFamilies:
         params = canonical_params()
         atom = build_atom(2)
         f_sum, g_sum, placement, extent = build_placed_family(params, atom, 3)
-        assert f_sum.counts == (2.0, 2.0, 3.0) == g_sum.counts
+        assert f_sum.count_exps == (1.0, 1.0, math.log2(3)) == g_sum.count_exps
         assert placement == ((3, 6), (21, 24), (65, 68, 71))
-        assert place(f_sum.scales, f_sum.counts) == (placement, extent)
+        assert place(f_sum.scales, (2, 2, 3)) == (placement, extent)
         assert verify_disjoint(f_sum.scales, placement)
         assert extent == 10
 
@@ -280,7 +287,7 @@ class TestClosedFormNorms:
         # A one-term sum at scale 0 with unit coefficient is exactly the
         # reference atom, so the bound collapses to the measured constant.
         atom = build_atom(2)
-        single = AtomicSum(atom, 1, 0.0, (0,), (1.0,))
+        single = AtomicSum(atom, 1, 0.0, (0,), (0.0,))
         space = BesovParams(0.25, 1.0, 2.0)
         value = atomic_besov_upper(single, space)
         assert value > 0.0
@@ -291,12 +298,12 @@ class TestClosedFormNorms:
         # Each CLI call builds a fresh atom object; once one atom with the
         # same profile has been calibrated in a space, no decomposition runs.
         space = BesovParams(0.25, 1.0, 2.0)
-        first = atomic_besov_upper(AtomicSum(build_atom(2), 1, 0.0, (0,), (1.0,)), space)
+        first = atomic_besov_upper(AtomicSum(build_atom(2), 1, 0.0, (0,), (0.0,)), space)
         calls = []
         monkeypatch.setattr(
             sharpness, "decompose", lambda *args: calls.append(args) or decompose(*args)
         )
-        second = atomic_besov_upper(AtomicSum(build_atom(2), 1, 0.0, (0,), (1.0,)), space)
+        second = atomic_besov_upper(AtomicSum(build_atom(2), 1, 0.0, (0,), (0.0,)), space)
         assert second == first
         assert calls == []
 
@@ -326,7 +333,7 @@ class TestClosedFormNorms:
                 assert spread <= 1e-9
 
     def test_regularity_must_stay_below_moment_order(self):
-        single = AtomicSum(build_atom(2), 1, 0.0, (0,), (1.0,))
+        single = AtomicSum(build_atom(2), 1, 0.0, (0,), (0.0,))
         with pytest.raises(ValueError):
             atomic_besov_upper(single, BesovParams(2.0, 1.0, 2.0))
         with pytest.raises(ValueError):
@@ -334,15 +341,15 @@ class TestClosedFormNorms:
 
     def test_distribution_single_term_is_atom_profile(self):
         atom = build_atom(2)
-        single = AtomicSum(atom, 1, 0.0, (0,), (1.0,))
+        single = AtomicSum(atom, 1, 0.0, (0,), (0.0,))
         profile = atomic_distribution(single)
         assert np.allclose(profile.values, atom.rearrangement.values, rtol=1e-12)
         assert np.allclose(profile.cum_masses, atom.rearrangement.cum_masses, rtol=1e-12)
 
     def test_distribution_two_disjoint_atoms_double_mass(self):
         atom = build_atom(2)
-        one = atomic_distribution(AtomicSum(atom, 1, 0.0, (0,), (1.0,)))
-        two = atomic_distribution(AtomicSum(atom, 1, 0.0, (0,), (2.0,)))
+        one = atomic_distribution(AtomicSum(atom, 1, 0.0, (0,), (0.0,)))
+        two = atomic_distribution(AtomicSum(atom, 1, 0.0, (0,), (1.0,)))
         assert np.allclose(two.values, one.values, rtol=1e-12)
         assert np.allclose(two.cum_masses, 2.0 * one.cum_masses, rtol=1e-12)
 
@@ -350,11 +357,11 @@ class TestClosedFormNorms:
         # coeff_exp = 0 gives every scale the same values, so each value ties
         # across scales; the prefixes read off one sort equal fresh rearrangements.
         atom = build_atom(2)
-        scales, counts = tuple(range(6)), (1.0, 3.0, 2.0, 5.0, 4.0, 7.0)
-        full = AtomicSum(atom, 1, 0.0, scales, counts)
+        scales, count_exps = tuple(range(6)), tuple(map(math.log2, (1, 3, 2, 5, 4, 7)))
+        full = AtomicSum(atom, 1, 0.0, scales, count_exps)
         levels = [1, 2, 3, 6]
         for level, profile in zip(levels, sharpness._prefix_distributions(full, levels)):
-            reference = reference_distribution(AtomicSum(atom, 1, 0.0, scales[:level], counts[:level]))
+            reference = reference_distribution(AtomicSum(atom, 1, 0.0, scales[:level], count_exps[:level]))
             assert np.array_equal(profile.values, reference.values)
             assert np.array_equal(profile.cum_masses, reference.cum_masses)
             assert profile.values.size == atom.rearrangement.values.size
@@ -365,15 +372,15 @@ class TestClosedFormNorms:
         atom = build_atom(2)
         # 2**1023.8 is finite, but times the atom's peak value 1.28 it is not.
         with pytest.raises(ArithmeticError, match="scale 1:"):
-            atomic_distribution(AtomicSum(atom, 1, 1023.8, (0, 1), (1.0, 1.0)))
+            atomic_distribution(AtomicSum(atom, 1, 1023.8, (0, 1), (0.0, 0.0)))
         with pytest.raises(ArithmeticError, match="scale 1024"):
-            atomic_distribution(AtomicSum(atom, 1, 1.0, (1024,), (1.0,)))
+            atomic_distribution(AtomicSum(atom, 1, 1.0, (1024,), (0.0,)))
         with pytest.raises(ArithmeticError, match="scale 1075"):
-            atomic_distribution(AtomicSum(atom, 1, 0.0, (1075,), (1.0,)))
+            atomic_distribution(AtomicSum(atom, 1, 0.0, (1075,), (0.0,)))
 
     def test_pairing_single_atom_and_exact_linearity(self):
         atom = build_atom(2)
-        single = AtomicSum(atom, 1, 0.0, (0,), (1.0,))
+        single = AtomicSum(atom, 1, 0.0, (0,), (0.0,))
         assert pairing(single, single) == atom.l2_norm_sq
         params = canonical_params()
         for level in (1, 4, 16, 64):
@@ -390,7 +397,7 @@ class TestClosedFormNorms:
         with pytest.raises(ValueError):
             pairing(f2, f3)
         other_atom = build_atom(2)
-        f_other = AtomicSum(other_atom, 1, f2.coeff_exp, f2.scales, f2.counts)
+        f_other = AtomicSum(other_atom, 1, f2.coeff_exp, f2.scales, f2.count_exps)
         with pytest.raises(ValueError):
             pairing(f_other, g2)
         placed = build_placed_family(params, atom, 2)
@@ -445,9 +452,9 @@ class TestRasterizationOracle:
         atom = build_atom(2)
         grid = GridSpec(1, 1024, 16.0)
         with pytest.raises(ValueError):
-            rasterize(AtomicSum(atom, 1, 0.25, (1, 2), (1.0, 1.0)), ((3,),), grid)
+            rasterize(AtomicSum(atom, 1, 0.25, (1, 2), (0.0, 0.0)), ((3,),), grid)
         with pytest.raises(ValueError):
-            rasterize(AtomicSum(atom, 1, 0.25, (1,), (1.5,)), ((3,),), grid)
+            rasterize(AtomicSum(atom, 1, 0.25, (1,), (0.5,)), ((3,),), grid)
 
 
 class TestGrowthExperiment:
@@ -595,17 +602,18 @@ class TestGrowthExperiment:
             assert result.slopes[key] == pytest.approx(one_column, rel=0, abs=1e-13)
 
     def test_mass_underflow_is_an_arithmetic_error(self):
-        # r = 4 != p = 2 merges the distribution, whose masses c_j * 2**(-j)
-        # with c_j = 2**(j/2) need 2**(-j), which is 0.0 from j = 1075 on.
-        with pytest.raises(ArithmeticError, match="scale 1075"):
-            growth_experiment(canonical_params(r0=4.0, r1=4.0), build_atom(2), default_level_grid(8, 1536))
+        # r = 4 != p = 2 merges the distribution, whose mass factors
+        # 2**(j/2 - j) times the atom's smallest width are 0.0 from j = 2130
+        # on; the check fires before any entry is formed.
+        with pytest.raises(ArithmeticError, match="scale 2130:"):
+            growth_experiment(canonical_params(r0=4.0, r1=4.0), build_atom(2), default_level_grid(8, 3072))
 
     def test_closed_form_dual_norm_passes_the_float_range(self):
-        # r = p: the dual norm is summed in base-2 logs, so the sweep that
-        # merged masses would underflow at scale 1075 completes with exact
+        # r = p: the dual norm is summed in base-2 logs, so the sweep whose
+        # merged masses would underflow at scale 2130 completes with exact
         # equal-contribution slopes.
-        result = growth_experiment(canonical_params(), build_atom(2), default_level_grid(8, 1536))
-        assert result.levels[-1] == 1536
+        result = growth_experiment(canonical_params(), build_atom(2), default_level_grid(8, 3072))
+        assert result.levels[-1] == 3072
         assert result.slopes["lorentz_lower"] == pytest.approx(0.5, abs=1e-12)
         assert result.slopes["pairing"] == pytest.approx(1.0, abs=1e-12)
         assert abs(result.slopes["ratio"]) <= 1e-12
