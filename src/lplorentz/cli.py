@@ -112,20 +112,11 @@ def _json_text(value, outer: str = "\n") -> str:
     return json.dumps(value, sort_keys=True, indent=_INDENT).replace("\n", outer)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        # Shortest round-trip form; normalizes float subclasses (numpy scalars).
-        return repr(float(value))
-    return str(value)
-
-
 def emit_report(records, columns, header, summary=None, fmt: str = "csv", path=None) -> None:
     """Write a deterministic report to ``path`` (or stdout).
 
     CSV: a ``# config: {...}`` comment line, the column header, then one row
-    per record with shortest-round-trip float cells.  JSON: a single object
+    per record of ``str(_jsonable(value))`` cells.  JSON: a single object
     ``{"header":…, "records":…, "summary":…}`` with sorted keys.
     """
     if fmt == "csv":
@@ -134,7 +125,7 @@ def emit_report(records, columns, header, summary=None, fmt: str = "csv", path=N
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for rec in records:
-            writer.writerow([_format_cell(rec[col]) for col in columns])
+            writer.writerow([str(_jsonable(rec[col])) for col in columns])
         text = buf.getvalue()
     elif fmt == "json":
         payload = {
@@ -259,6 +250,11 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
     params = build_params(
         args.n, args.alpha, args.beta, args.q0, args.q1, args.r0, args.r1, r=args.r, names=_CASE_FLAGS
     )
+    # no fit resolves an expected slope 1/r below 1e-14: at --Lmax 64, 1/r0 = 1e-15 fits at 1.04e-15
+    for flag, value in (("--r0", params.r0), ("--r1", params.r1), ("--r", args.r and params.r)):
+        if value and 0.0 < 1.0 / value < 1e-14:
+            raise ValueError(f"{flag}={value!r} gives the expected slope {1.0 / value!r}, "
+                             "below the 1e-14 that the sweep's slope fit resolves")
     if not 1 <= args.Lmin < args.Lmax:
         raise ValueError(f"need 1 <= --Lmin < --Lmax, got {args.Lmin} and {args.Lmax}")
     # the level grid then has >= 4 levels spanning a factor of 8, as the slope fits need

@@ -46,7 +46,6 @@ from .norms import (
     _check_exponent,
     _compose,
     _grid_lp,
-    _grid_lp_roots,
     _inv,
     _lorentz_rows,
     _one_profile,
@@ -257,7 +256,8 @@ def _k_norm_rows(prof: _Profiles, theta: float, r: float) -> list[float]:
     Each row is first divided, exactly, by the powers of two ``2**ev`` and
     ``2**ec`` nearest its largest value and its total mass, so that ``K``
     stays in the normal range where ``value * mass`` would not; the norm of
-    the scaled row times ``2**(ev + ec*(1-theta))`` is the row's norm."""
+    the scaled row times ``2**(ev + ec*(1-theta))`` is the row's norm.  Leading
+    steps whose scaled masses stay below the normal range join the first piece."""
     rows, width = prof.values.shape
     lengths = np.full(rows, width) if prof.lengths is None else prof.lengths
     ev = np.frexp(prof.values.max(axis=1, initial=0.0))[1]
@@ -274,11 +274,13 @@ def _k_norm_rows(prof: _Profiles, theta: float, r: float) -> list[float]:
         norms = (np.where(cum > 0.0, cum, 1.0) ** (-theta) * prefix).max(axis=1, initial=0.0)
         return np.ldexp(norms * factor, power).tolist()
 
-    # log(t**(-theta) K(t)) at each breakpoint, repeated past a row's length; NaN in an empty row
-    peak = np.log(prefix) - theta * np.log(cum)
+    kept = cum >= _TINY
+    first = kept.argmax(axis=1)
+    # log(t**(-theta) K(t)) at each kept breakpoint, repeated past a row's length; -inf in an empty row
+    peak = np.where(kept, np.log(prefix) - theta * np.log(cum), -_INF)
     m = peak.max(axis=1)
     # interior piece i >= 1 of a row: K(t) = a + b*t on [S_{i-1}, S_i], u = ln t
-    inner = np.arange(1, width) < lengths[:, None]
+    inner = (np.arange(1, width) < lengths[:, None]) & kept[:, :-1]
     b = values[:, 1:][inner]
     a = prefix[:, :-1][inner] - b * cum[:, :-1][inner]
     u0 = np.log(cum[:, :-1][inner])
@@ -300,11 +302,17 @@ def _k_norm_rows(prof: _Profiles, theta: float, r: float) -> list[float]:
     integrand *= np.exp(u, out=u)
     integrand **= r
     integrand *= _GL_WEIGHTS
-    total = np.exp(r * (peak[:, 0] - m)) / ((1.0 - theta) * r) + np.exp(r * (peak[:, -1] - m)) / (theta * r)
+    total = np.exp(r * (peak[np.arange(rows), first] - m)) / ((1.0 - theta) * r)
+    total += np.exp(r * (peak[:, -1] - m)) / (theta * r)
     total += np.bincount(owner, integrand.sum(axis=1) * half, minlength=rows)
-    norms = np.ldexp(np.exp(m) * total ** (1.0 / r) * factor, power)
+    scaled = np.exp(m) * total ** (1.0 / r)
+    norms = np.ldexp(scaled * factor, power)
     live = lengths > 0
-    if not (norms[live] < _INF).all():  # NaN fails
+    # joining leading steps moves K by less than min(_TINY, t), so the norm by less than that step's norm
+    lost = (1.0 / ((1.0 - theta) * r) + 1.0 / (theta * r)) ** (1.0 / r) * _TINY ** (1.0 - theta)
+    if not (scaled[live & ~kept[:, 0]] * 2.0**-53 >= lost).all():  # NaN fails
+        raise ArithmeticError("interpolation integral needs masses that span past the float range")
+    if not (norms[live] < _INF).all():
         raise ArithmeticError("interpolation integral diverged on this profile")
     if not (total[live] >= _TINY).all():
         raise ArithmeticError(f"interpolation integral underflows at r={r!r}: the ln 2 panels miss its peak")
@@ -663,10 +671,10 @@ def _partition_rows(values: np.ndarray, lengths: np.ndarray, q0: float, q1: floa
     beta = 2.0 ** (-ks * eta) * _grid_lp(block_vals, q0, 1.0, axis=1, lengths=block_lengths)
     gamma = 2.0 ** (ks * (1.0 - eta)) * _grid_lp(block_vals, q1, 1.0, axis=1, lengths=block_lengths)
     counts = np.bincount(owner, minlength=lengths.size)
-    lhs = [b + g for b, g in zip(_grid_lp_roots(_pad(beta, counts), r0, counts),
-                                 _grid_lp_roots(_pad(gamma, counts), r0, counts))]
+    lhs = [b + g for b, g in zip(_grid_lp(_pad(beta, counts), r0, 1.0, axis=1, lengths=counts).tolist(),
+                                 _grid_lp(_pad(gamma, counts), r0, 1.0, axis=1, lengths=counts).tolist())]
     constant = _partition_constant(q0, q1, r0, sigma)
-    bound = [constant * n for n in _grid_lp_roots(values, r0, lengths)]
+    bound = [constant * n for n in _grid_lp(values, r0, 1.0, axis=1, lengths=lengths).tolist()]
     return ks, entry_block, eta, beta, gamma, lhs, bound
 
 

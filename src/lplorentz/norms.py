@@ -64,17 +64,13 @@ def _compose(theta: float, a: float, b: float) -> float:
     return _INF if inv == 0.0 else 1.0 / inv
 
 
-def _power_sum_log2(exps, r: float) -> float:
-    """``log2 (sum_i 2**(r*e_i))**(1/r)`` for base-2 exponents ``e_i``, the
-    ``l^r`` norm of ``2**e`` in log form: ``m + log2(sum_i 2**(r*(e_i - m)))/r``
-    with ``m = max_i e_i``, so no power leaves the float range.  ``r = inf``
-    gives ``m``.  The one-level case of :func:`_prefix_power_sums_log2`."""
-    return _prefix_power_sums_log2(exps, [len(exps)], r)[0]
-
-
 def _prefix_power_sums_log2(exps, levels, r: float) -> list[float]:
-    """:func:`_power_sum_log2` of each prefix ``exps[:L]``, for ``L`` in
-    ``levels``, as Python floats.
+    """``log2 (sum_i 2**(r*e_i))**(1/r)`` over each prefix ``exps[:L]`` of the
+    base-2 exponents ``e_i``, for ``L`` in ``levels``, as Python floats: the
+    ``l^r`` norm of ``2**e`` in log form, ``m + log2(sum_i 2**(r*(e_i - m)))/r``
+    with ``m`` the prefix's largest exponent, so no power leaves the float
+    range.  ``r = inf`` gives ``m``; one level ``[len(exps)]`` gives the whole
+    sum.
 
     The prefix maxima come from one running maximum.  Each level raises only
     its own prefix, shifted by its own maximum, and sums it as one contiguous
@@ -90,9 +86,10 @@ def _prefix_power_sums_log2(exps, levels, r: float) -> list[float]:
 
 
 def _power_sums_log2(exps: np.ndarray, counts, r: float) -> list[float]:
-    """:func:`_power_sum_log2` of each row ``exps[i, :counts[i]]`` of the 2-D
-    ``exps``, padded with ``-inf`` (of every full row when ``counts`` is
-    None), as Python floats.  Every row holds at least one exponent."""
+    """:func:`_prefix_power_sums_log2` of each whole row ``exps[i, :counts[i]]``
+    of the 2-D ``exps``, padded with ``-inf`` (of every full row when
+    ``counts`` is None), as Python floats.  Every row holds at least one
+    exponent."""
     tops = exps.max(axis=1, initial=-_INF)
     if r == _INF:
         return tops.tolist()
@@ -531,16 +528,6 @@ def _grid_lp(a: np.ndarray, p: float, cell_volume: float, axis=None, lengths=Non
         if lengths is None:
             return _power_root(lambda x: np.sum(x**p, axis=axis) * cell_volume, a, p, diverged, axis)
         return _power_root(lambda x: _row_sums(x, lengths, p) * cell_volume, a, p, diverged, axis)
-
-
-def _grid_lp_roots(a: np.ndarray, p: float, lengths: np.ndarray) -> list[float]:
-    """``float(_grid_lp(a[i, :lengths[i]], p, 1.0))`` of every row ``i`` of the
-    zero-padded 2-D ``a``, for finite ``p``: Python-float roots of the row sums,
-    and a row whose sum is not a normal float redone alone."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = _row_sums(a, lengths, p).tolist()
-    return [total ** (1.0 / p) if _TINY <= total < _INF else float(_grid_lp(a[i, :lengths[i]], p, 1.0))
-            for i, total in enumerate(totals)]
 
 
 def _as_besov_params(params) -> BesovParams:

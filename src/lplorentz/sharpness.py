@@ -44,7 +44,6 @@ from .norms import (
     _as_besov_params,
     _check_exponent,
     _inv,
-    _power_sum_log2,
     _prefix_power_sums_log2,
     _profile_from_sorted,
     besov_seminorm,
@@ -323,7 +322,8 @@ def _besov_terms(s: AtomicSum, space: BesovParams) -> tuple[float, np.ndarray]:
     """Calibration constant ``C_atom`` and per-scale base-2 exponents
     ``j*s' - j*n/q + log2 ||coeffs_j||_{l^q}`` of the closed-form bound of
     :func:`atomic_besov_upper`; the bound of the first ``L`` scales is
-    ``C_atom * 2**_power_sum_log2(exps[:L], space.q)``."""
+    ``C_atom * 2**e`` with ``e`` the :func:`~lplorentz.norms._prefix_power_sums_log2`
+    of ``exps`` at level ``L`` and exponent ``space.q``."""
     if abs(space.s) >= s.atom.moments:
         raise ValueError(
             f"|s|={abs(space.s)!r} must stay below the atom's vanishing-moment order {s.atom.moments}"
@@ -348,7 +348,7 @@ def atomic_besov_upper(s: AtomicSum, spaceparams) -> float:
     """
     spaceparams = _as_besov_params(spaceparams)
     constant, exps = _besov_terms(s, spaceparams)
-    return constant * 2.0 ** _power_sum_log2(exps, spaceparams.q)
+    return constant * 2.0 ** _prefix_power_sums_log2(exps, [len(exps)], spaceparams.q)[0]
 
 
 def atomic_distribution(s: AtomicSum) -> RearrangementProfile:

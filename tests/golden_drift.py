@@ -7,7 +7,9 @@ parsed into cells: a ``# config:`` line and any JSON document by their JSON
 values, CSV lines by row and column.  The two must have the same exit code
 (0), the same cells in the same order and the same non-numeric cells; a
 numeric cell may move, and each one that does is printed with its relative
-drift ``|new - old| / |old|``, followed by the largest drift of every file.
+drift ``|new - old| / |old|`` and its absolute drift ``|new - old|``, which
+reads sensibly where the recorded value is 0; the largest relative drift of
+every file follows.
 
 The script exits 1 on a structural change or on any drift above
 ``MAX_DRIFT``, and 0 otherwise.  Run it from the repository root::
@@ -126,7 +128,7 @@ def compare(name: str, recorded: str, code: int, text: str) -> tuple[list[str], 
         if d:
             moved += 1
             worst = max(worst, d)
-            print(f"  {name}, {loc}: {a} -> {b}  drift {d:.2e}")
+            print(f"  {name}, {loc}: {a} -> {b}  drift {d:.2e}, |new - old| {abs(y - x):.2e}")
     if text != recorded and not (problems or moved):
         problems.append("bytes differ, cells equal")
     return problems, worst, moved

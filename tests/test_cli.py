@@ -638,6 +638,36 @@ class TestSharpnessCommand:
         assert captured.out == ""
         assert captured.err == f"error: {flag[2:]} must lie in [1, inf], got 0.5\n"
 
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [(["--r0", "1e300", "--r1", "1e300"], "--r0"), (["--r1", "1e300"], "--r1"), (["--r", "1e300"], "--r")],
+    )
+    def test_slopes_below_the_fit_resolution_name_their_flag(self, flags, flag, capsys):
+        # an expected slope 1/r of 1e-300 no fit resolves: exit 2 before any level is formed
+        args = list(self.CANONICAL)
+        for name, value in zip(flags[::2], flags[1::2]):
+            if name in args:
+                args[args.index(name) + 1] = value
+            else:
+                args += [name, value]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag}=1e+300 gives the expected slope 1e-300, below the 1e-14 that the sweep's slope fit "
+            "resolves\n"
+        )
+
+    def test_smallest_resolvable_slope_still_runs_the_sweep(self, capsys):
+        # 1/r0 = 1/r1 = 1e-14 passes the check; the composed sweep then fails its lorentz_lower fit
+        args = list(self.CANONICAL)
+        args[args.index("--r0") + 1] = args[args.index("--r1") + 1] = "1e14"
+        assert main(args + ["--Lmax", "64"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("failure: fitted slope for lorentz_lower is ")
+        assert captured.err.count("\n") == 1
+
     def test_unresolvable_moments_name_the_flag(self, capsys):
         assert main(self.CANONICAL + ["--moments", "400"]) == 2
         captured = capsys.readouterr()
@@ -802,6 +832,13 @@ class TestEmitReport:
         out = capsys.readouterr().out
         cell = out.splitlines()[2]
         assert float(cell) == 1.0 / 3.0
+
+    def test_scalar_cell_texts(self, capsys):
+        # one cell of every scalar kind a record may hold
+        cells = [True, None, 3, np.int64(3), np.float32(1.5), np.float64(0.1), math.inf, -math.inf, math.nan, "a,b"]
+        columns = [f"c{i}" for i in range(len(cells))]
+        emit_report([dict(zip(columns, cells))], columns, {}, fmt="csv", path=None)
+        assert capsys.readouterr().out.splitlines()[2] == 'True,None,3,3,1.5,0.1,inf,-inf,nan,"a,b"'
 
     def test_json_payload_shape(self, capsys):
         emit_report(

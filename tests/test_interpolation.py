@@ -331,6 +331,27 @@ class TestKNormScaling:
             warnings.simplefilter("error")
             assert interpolation_norm_K(scaled, params) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("r, want", [(2.0, 1.4142135623730951e100), (1.0, 4e100), (INF, 1e100)])
+    def test_masses_spanning_past_the_float_range(self, r, want):
+        # masses 1e-200 and 1e200: scaled by the total, the first underflows,
+        # and its step moves K by at most 2e-200, far below half an ulp of the
+        # second step's closed form 1 * 1e200**(1/2) * (2/r + 2/r)**(1/r)
+        # (at r = 2, 1.41421356237309502e100 by mpmath)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = interpolation_norm_K(MeasuredValues([2.0, 1.0], [1e-200, 1e200]), InterpParams(0.5, r))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("values, theta", [([1e300, 1e-300], 0.5), ([2.0, 1.0], 0.999)])
+    def test_masses_spanning_past_the_float_range_that_carry_the_norm_raise(self, values, theta):
+        # here the first step, on mass 1e-200, carries (most of) the norm:
+        # its t**(-theta) K(t) is 1e200 at theta = 1/2, and at theta = 0.999
+        # the first step's 2 * 1e-200**0.001 is near the second's 1e200**0.001
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="span past the float range"):
+                interpolation_norm_K(MeasuredValues(values, [1e-200, 1e200]), InterpParams(theta, 2.0))
+
 
 class TestWeightedDecompositionBound:
     def _two_piece(self):

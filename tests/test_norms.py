@@ -26,7 +26,6 @@ from lplorentz.norms import (
 )
 from lplorentz.norms import (
     _grid_lp,
-    _power_sum_log2,
     _power_sums_log2,
     _prefix_power_sums_log2,
     _profile_from_sorted,
@@ -427,20 +426,22 @@ class TestLorentzNorm:
 
 
 class TestPowerSumLog2:
+    """:func:`_prefix_power_sums_log2`; the whole sum is its one-level case."""
+
     def test_matches_direct_sum_in_range(self):
         exps = np.array([-3.5, 0.25, 2.0, 7.125])
         for r in (1.0, 2.0, 4.0 / 3.0, 5.5):
             want = math.log2(float(np.sum((2.0**exps) ** r))) / r
-            assert _power_sum_log2(exps, r) == pytest.approx(want, rel=1e-14)
-        assert _power_sum_log2(exps, INF) == 7.125
+            assert _prefix_power_sums_log2(exps, [len(exps)], r)[0] == pytest.approx(want, rel=1e-14)
+        assert _prefix_power_sums_log2(exps, [len(exps)], INF)[0] == 7.125
 
     def test_exponents_past_the_float_range(self):
         # 2**2000 and 2**-2000 are not floats; their l^r sums still are in log form
         for shift in (2000.0, -2000.0):
             exps = np.full(4, shift)
-            assert _power_sum_log2(exps, 2.0) == shift + 1.0
-            assert _power_sum_log2(exps, 1.0) == shift + 2.0
-            assert _power_sum_log2(exps, INF) == shift
+            assert _prefix_power_sums_log2(exps, [len(exps)], 2.0)[0] == shift + 1.0
+            assert _prefix_power_sums_log2(exps, [len(exps)], 1.0)[0] == shift + 2.0
+            assert _prefix_power_sums_log2(exps, [len(exps)], INF)[0] == shift
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 3.7, INF])
     def test_prefix_sums_keep_the_bits_of_each_prefix(self, r):
@@ -455,7 +456,7 @@ class TestPowerSumLog2:
         ):
             levels = list(range(1, exps.size + 1))
             sums = _prefix_power_sums_log2(exps, levels, r)
-            assert sums == [_power_sum_log2(exps[:n], r) for n in levels]
+            assert sums == [_prefix_power_sums_log2(exps[:n], [n], r)[0] for n in levels]
             assert sums == [_power_sums_log2(exps[None, :n], None, r)[0] for n in levels]
             assert _prefix_power_sums_log2(exps, [200, 7, 7, 257], r) == [sums[199], sums[6], sums[6], sums[256]]
 
