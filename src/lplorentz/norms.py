@@ -70,7 +70,7 @@ def _prefix_power_sums_log2(exps, levels, r: float) -> list[float]:
     ``l^r`` norm of ``2**e`` in log form, ``m + log2(sum_i 2**(r*(e_i - m)))/r``
     with ``m`` the prefix's largest exponent, so no power leaves the float
     range.  ``r = inf`` gives ``m``; one level ``[len(exps)]`` gives the whole
-    sum.
+    sum, and level 0, an empty sum, gives ``-inf`` at every ``r``.
 
     The prefix maxima come from one running maximum.  Each level raises only
     its own prefix, shifted by its own maximum, and sums it as one contiguous
@@ -79,10 +79,13 @@ def _prefix_power_sums_log2(exps, levels, r: float) -> list[float]:
     stay as long as the longest prefix.
     """
     exps = np.asarray(exps, dtype=float)
-    tops = np.maximum.accumulate(exps)[np.asarray(levels) - 1].tolist()
+    tops = np.maximum.accumulate(np.concatenate(([-_INF], exps)))[np.asarray(levels)].tolist()
     if r == _INF:
         return tops
-    return [m + math.log2(np.add.reduce(2.0 ** (r * (exps[:n] - m)))) / r for m, n in zip(tops, levels)]
+    return [
+        m + math.log2(np.add.reduce(np.exp2(r * (exps[:n] - m)))) / r if n else -_INF
+        for m, n in zip(tops, levels)
+    ]
 
 
 def _power_sums_log2(exps: np.ndarray, counts, r: float) -> list[float]:
@@ -93,7 +96,7 @@ def _power_sums_log2(exps: np.ndarray, counts, r: float) -> list[float]:
     tops = exps.max(axis=1, initial=-_INF)
     if r == _INF:
         return tops.tolist()
-    sums = _row_sums(2.0 ** (r * (exps - tops[:, None])), counts).tolist()
+    sums = _row_sums(np.exp2(r * (exps - tops[:, None])), counts).tolist()
     return [m + math.log2(s) / r for m, s in zip(tops.tolist(), sums)]
 
 

@@ -10,7 +10,8 @@ obtained from the pairing grows like ``L**(1/r)``.  Fitting these growth
 rates over a sweep of ``L`` shows the inequality ratio grows like
 ``L**(1/r - 1/r_star)`` whenever ``1/r > 1/r_star``.  The families of a
 sweep are nested, so every level is read off the largest family in one pass,
-and one least-squares fit gives the slopes of all six growth curves.
+and the closed-form least-squares slope against ``log2 L`` gives the slopes
+of all six growth curves.
 
 The Besov bounds and the pairing are closed forms.  The dual Lorentz norm
 of ``g_L`` is computed from the atom's rearrangement *sampled* at the 4096
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -265,14 +265,16 @@ class AtomicSum:
     ``2**count_exps[i]`` disjointly supported translates at each scale
     ``scales[i]``; the translates are never materialized, only the closed
     forms below read the sum.  No closed form forms a count on its own, so
-    none leaves the float range.
+    none leaves the float range.  ``scales`` and ``count_exps`` are integer
+    and float sequences: arrays, as :func:`build_closed_form_family` holds
+    them, or tuples.
     """
 
     atom: Atom
     n: int
     coeff_exp: float
-    scales: tuple[int, ...]
-    count_exps: tuple[float, ...]
+    scales: np.ndarray | tuple[int, ...]
+    count_exps: np.ndarray | tuple[float, ...]
 
     def __post_init__(self) -> None:
         if len(self.scales) != len(self.count_exps):
@@ -290,8 +292,8 @@ def build_closed_form_family(params: SharpnessParams, atom: Atom, levels: int) -
     values."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    scales = tuple(range(1, levels + 1))
-    count_exps = tuple(params.delta * j for j in scales)
+    scales = np.arange(1, levels + 1)
+    count_exps = params.delta * scales
     f_sum = AtomicSum(atom, params.n, params.x_exp, scales, count_exps)
     g_sum = AtomicSum(atom, params.n, params.y_exp, scales, count_exps)
     return f_sum, g_sum
@@ -376,7 +378,7 @@ def _scale_factors(s: AtomicSum, top_value: float, widths: np.ndarray) -> tuple[
     low, high = float(widths.min()), float(widths.max())
     coefs, factors = [], []
     try:
-        for j, e in zip(s.scales, s.count_exps):
+        for j, e in zip(np.asarray(s.scales).tolist(), np.asarray(s.count_exps).tolist()):
             coef = s.coefficient(j)
             factor = 2.0 ** (e - j * s.n)
             if not (0.0 < coef * top_value < _INF and 0.0 < factor * low and factor * high < _INF):
@@ -430,9 +432,15 @@ def _dual_norms(s: AtomicSum, levels, dual: LorentzParams) -> list[float]:
     if dual.r != dual.p:
         return [lorentz_norm(profile, dual) for profile in _prefix_distributions(s, levels)]
     scales = np.asarray(s.scales, dtype=float)
-    log_atom = math.log2(lorentz_norm(s.atom.rearrangement, dual))
-    exps = scales * s.coeff_exp + (np.asarray(s.count_exps) - scales * s.n) / dual.p + log_atom
+    exps = scales * s.coeff_exp + (np.asarray(s.count_exps) - scales * s.n) / dual.p + _atom_norm_log2(s.atom, dual)
     return [2.0**e for e in _prefix_power_sums_log2(exps, levels, dual.p)]
+
+
+@lru_cache(maxsize=64)
+def _atom_norm_log2(atom: Atom, space: LorentzParams) -> float:
+    """``log2`` of the Lorentz norm in ``space`` of the atom's sampled
+    rearrangement, computed once per atom and space."""
+    return math.log2(lorentz_norm(atom.rearrangement, space))
 
 
 def pairing(f: AtomicSum, g: AtomicSum) -> float:
@@ -442,15 +450,16 @@ def pairing(f: AtomicSum, g: AtomicSum) -> float:
     delta*j``, so in exact arithmetic every term is ``||atom||_{L2}**2`` and
     the sum is the number of scales; the computed one is only up to float
     rounding (``7.999999999999922`` at ``L = 8`` in the composed sweep)."""
-    if f.atom is not g.atom or f.scales != g.scales or f.count_exps != g.count_exps:
+    if f.atom is not g.atom or not (np.array_equal(f.scales, g.scales) and np.array_equal(f.count_exps, g.count_exps)):
         raise ValueError("pairing requires the same atom layout on both factors")
-    return _running_pairings(f, g)[-1] * f.atom.l2_norm_sq
+    return float(_running_pairings(f, g)[-1]) * f.atom.l2_norm_sq
 
 
-def _running_pairings(f: AtomicSum, g: AtomicSum) -> list[float]:
+def _running_pairings(f: AtomicSum, g: AtomicSum) -> np.ndarray:
     """Left-to-right running sums of the :func:`pairing` terms: entry ``k`` sums the first ``k`` scales."""
     pair_exp = f.coeff_exp + g.coeff_exp - f.n
-    return list(accumulate((2.0 ** (e + j * pair_exp) for j, e in zip(f.scales, f.count_exps)), initial=0.0))
+    terms = np.exp2(np.asarray(f.count_exps, dtype=float) + np.asarray(f.scales) * pair_exp)
+    return np.cumsum(np.concatenate(([0.0], terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +494,14 @@ class GrowthResult:
     expected: dict[str, float]
 
 
+def _least_squares_slopes(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Least-squares slope of each column of ``columns`` against ``x``, in
+    closed form: ``sum((x - mean x) * (y - mean y)) / sum((x - mean x)**2)``,
+    as two numpy sums rather than BLAS products, whose rounding varies by host."""
+    dx = x - x.mean()
+    return (dx[:, None] * (columns - columns.mean(axis=0))).sum(axis=0) / (dx * dx).sum()
+
+
 def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResult:
     """Sweep the number of scales and fit growth exponents of all quantities.
 
@@ -505,9 +522,10 @@ def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResu
     prefix (:func:`~lplorentz.norms._prefix_power_sums_log2`) and the
     left-to-right running pairing sum at its last scale.  The records equal
     :func:`atomic_besov_upper` and :func:`pairing` on each level's own
-    :func:`build_closed_form_family` bit for bit.  The six slopes come from
-    one least-squares fit of the ``(levels, 6)`` matrix of their base-2 logs,
-    which may round apart from six one-column fits in the last bits.
+    :func:`build_closed_form_family` bit for bit.  The six slopes are the
+    closed-form least-squares slopes of the ``(levels, 6)`` matrix of their
+    base-2 logs against ``log2 L`` (:func:`_least_squares_slopes`), which may
+    round apart from a numerical ``np.polyfit`` in the last bits.
 
     Requires at least 4 levels spanning a factor of 8 (three octaves).
     """
@@ -521,17 +539,17 @@ def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResu
     f_top, g_top = build_closed_form_family(params, atom, levels[-1])
     constant0, exps0 = _besov_terms(f_top, space0)
     constant1, exps1 = _besov_terms(f_top, space1)
-    running_pairs = _running_pairings(f_top, g_top)
     records = []
-    for level, log0, log1, g_dual_norm in zip(
+    for level, log0, log1, running_pair, g_dual_norm in zip(
         levels,
         _prefix_power_sums_log2(exps0, levels, space0.q),
         _prefix_power_sums_log2(exps1, levels, space1.q),
+        _running_pairings(f_top, g_top)[levels].tolist(),
         _dual_norms(g_top, levels, dual),
     ):
         besov0 = constant0 * 2.0**log0
         besov1 = constant1 * 2.0**log1
-        pair = running_pairs[level] * atom.l2_norm_sq
+        pair = running_pair * atom.l2_norm_sq
         lorentz_lower = pair / g_dual_norm
         rhs_product = besov0 ** (1.0 - theta) * besov1**theta
         records.append(
@@ -548,8 +566,7 @@ def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResu
         )
     keys = ("besov0", "besov1", "pairing", "lorentz_lower", "rhs_product", "ratio")
     columns = np.log2([[rec[key] for key in keys] for rec in records])
-    fitted = np.polyfit(np.log2(np.asarray(levels, dtype=float)), columns, 1)[0]
-    slopes = dict(zip(keys, fitted.tolist()))
+    slopes = dict(zip(keys, _least_squares_slopes(np.log2(np.asarray(levels, dtype=float)), columns).tolist()))
     expected = {
         "besov0": _inv(params.r0),
         "besov1": _inv(params.r1),

@@ -444,6 +444,13 @@ class TestPowerSumLog2:
             assert _prefix_power_sums_log2(exps, [len(exps)], INF)[0] == shift
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 3.7, INF])
+    def test_empty_prefix_is_minus_inf(self, r):
+        # level 0 sums nothing, also when the exponents are empty; it takes
+        # neither the last prefix's maximum nor the log of an empty sum
+        assert _prefix_power_sums_log2([], [0], r) == [-INF]
+        assert _prefix_power_sums_log2([5.0, 7.0], [0, 1, 0, 2], r)[:3] == [-INF, 5.0, -INF]
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.7, INF])
     def test_prefix_sums_keep_the_bits_of_each_prefix(self, r):
         # exponents spanning +-1000: an entry past a prefix may lie far above
         # its maximum, whose power would overflow (an error under pytest's

@@ -7,9 +7,12 @@ appears here only to cross-check those on small instances.
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placed_family import (
     build_placed_family,
@@ -222,8 +225,8 @@ class TestFamilies:
         params = canonical_params()
         atom = build_atom(2)
         f_sum, g_sum = build_closed_form_family(params, atom, 3)
-        assert f_sum.scales == (1, 2, 3) == g_sum.scales
-        assert f_sum.count_exps == (0.5, 1.0, 1.5) == g_sum.count_exps
+        assert f_sum.scales.tolist() == [1, 2, 3] == g_sum.scales.tolist()
+        assert f_sum.count_exps.tolist() == [0.5, 1.0, 1.5] == g_sum.count_exps.tolist()
         assert f_sum.coeff_exp == params.x_exp
         assert g_sum.coeff_exp == params.y_exp
         assert f_sum.coefficient(3) == 2.0 ** (3 * params.x_exp)
@@ -404,6 +407,51 @@ class TestClosedFormNorms:
         with pytest.raises(ValueError):
             pairing(placed.f, g2)
 
+    def test_pairing_compares_array_layouts(self):
+        # Layouts held as arrays are compared as arrays: a mismatch in scales
+        # or count exponents raises pairing's own error, not numpy's
+        # truth-value or broadcast error.
+        atom = build_atom(2)
+        f2, g2 = build_closed_form_family(canonical_params(), atom, 2)
+        f3, _ = build_closed_form_family(canonical_params(), atom, 3)
+        for f in (
+            AtomicSum(atom, 1, f2.coeff_exp, f2.scales + 1, f2.count_exps),
+            AtomicSum(atom, 1, f2.coeff_exp, f2.scales, f2.count_exps + 1.0),
+            f3,
+        ):
+            with pytest.raises(ValueError, match="^pairing requires the same atom layout on both factors$"):
+                pairing(f, g2)
+
+    @pytest.mark.parametrize(
+        "params", [canonical_params(), canonical_params(r0=4.0, r1=4.0)], ids=["r-eq-p", "r-ne-p"]
+    )
+    def test_tuple_layout_gives_the_array_layout_closed_forms(self, params):
+        # The placed-family oracle builds its sums from tuples; every closed
+        # form reads them bit for bit as it reads the same layout in arrays.
+        atom = build_atom(2)
+        placed = build_placed_family(params, atom, 6)
+        f_arr, g_arr = (
+            AtomicSum(atom, s.n, s.coeff_exp, np.asarray(s.scales), np.asarray(s.count_exps))
+            for s in (placed.f, placed.g)
+        )
+        for space in (BesovParams(params.alpha, params.q0, params.r0), BesovParams(-params.beta, params.q1, params.r1)):
+            assert atomic_besov_upper(placed.f, space) == atomic_besov_upper(f_arr, space)
+        assert pairing(placed.f, placed.g) == pairing(f_arr, g_arr) == pairing(placed.f, g_arr)
+        dual = LorentzParams(conjugate_exponent(params.p), conjugate_exponent(params.r))
+        assert sharpness._dual_norms(placed.g, [2, 4, 6], dual) == sharpness._dual_norms(g_arr, [2, 4, 6], dual)
+        tuple_profile, array_profile = atomic_distribution(placed.g), atomic_distribution(g_arr)
+        assert np.array_equal(tuple_profile.values, array_profile.values)
+        assert np.array_equal(tuple_profile.cum_masses, array_profile.cum_masses)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, INF])
+    def test_empty_sum_is_zero(self, q):
+        # The sum over no scales is the zero function: its level-0 log-sum is
+        # -inf at every q, so its bound is 0, as are its pairing and norm.
+        empty = AtomicSum(build_atom(2), 1, 0.0, (), ())
+        assert atomic_besov_upper(empty, BesovParams(0.25, 1.0, q)) == 0.0
+        assert pairing(empty, empty) == 0.0
+        assert lorentz_norm(atomic_distribution(empty), LorentzParams(2.0, q)) == 0.0
+
 
 class TestRasterizationOracle:
     def test_distribution_and_pairing_match_rasterized_fields(self):
@@ -574,8 +622,9 @@ class TestGrowthExperiment:
     def test_one_pass_sweep_equals_per_level_reference(self, params, levels):
         # The sweep reads every level off the top family; each level's own
         # family gives the same record bits, also for a level listed twice.
-        # The slopes are one least-squares fit of all six columns, which can
-        # round apart from six one-column fits in the last bits only.
+        # The slopes are the closed-form least-squares slopes of all six
+        # columns, which can round apart from one-column polyfits in the last
+        # bits only.
         atom = build_atom(2)
         result = growth_experiment(params, atom, levels)
         dual = LorentzParams(conjugate_exponent(params.p), conjugate_exponent(params.r))
@@ -596,10 +645,60 @@ class TestGrowthExperiment:
         keys = ("besov0", "besov1", "pairing", "lorentz_lower", "rhs_product", "ratio")
         log_levels = np.log2(np.asarray(levels, dtype=float))
         columns = np.log2([[record[key] for key in keys] for record in reference])
-        assert result.slopes == dict(zip(keys, np.polyfit(log_levels, columns, 1)[0].tolist()))
+        dx = log_levels - log_levels.mean()
+        fitted = (dx[:, None] * (columns - columns.mean(axis=0))).sum(axis=0) / (dx * dx).sum()
+        assert result.slopes == dict(zip(keys, fitted.tolist()))
         for key in keys:
             one_column = float(np.polyfit(log_levels, np.log2([record[key] for record in reference]), 1)[0])
             assert result.slopes[key] == pytest.approx(one_column, rel=0, abs=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 1024), st.data())
+    def test_slope_fit_equals_polyfit(self, l_min, data):
+        # The sweep's columns are base-2 logs of values that grow at most
+        # like L, so below 32 in magnitude on grids up to 2**20; on random
+        # such columns the closed-form fit is np.polyfit's up to rounding.
+        levels = default_level_grid(l_min, data.draw(st.integers(8 * l_min, 1 << 20), label="l_max"))
+        x = np.log2(np.asarray(levels, dtype=float))
+        entries = st.floats(-32.0, 32.0, allow_subnormal=False)
+        columns = np.array(data.draw(st.lists(entries, min_size=6 * len(levels), max_size=6 * len(levels))))
+        columns = columns.reshape(len(levels), 6)
+        fitted = sharpness._least_squares_slopes(x, columns)
+        assert np.abs(fitted - np.polyfit(x, columns, 1)[0]).max() <= 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 1024), st.data())
+    def test_slope_fit_of_a_line_equals_exact_arithmetic(self, l_min, data):
+        # Every growth slope of a sweep lies in [-1, 1].  Rounding the entries
+        # of a line through the grid's log2 levels already moves its slope by
+        # up to about 1e-15 (9.5e-16 at l_min=739, l_max=5912, slope 0.891,
+        # offset 7), so the fit is held to the least-squares slope of the
+        # rounded entries in exact rational arithmetic.
+        levels = default_level_grid(l_min, data.draw(st.integers(8 * l_min, 1 << 20), label="l_max"))
+        x = np.log2(np.asarray(levels, dtype=float))
+        slopes = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), label="slopes"))
+        offsets = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6), label="offsets"))
+        columns = offsets + np.multiply.outer(x, slopes)
+        fitted = sharpness._least_squares_slopes(x, columns)
+        xs = [Fraction(v) for v in x.tolist()]
+        x_mean = sum(xs) / len(xs)
+        dx = [v - x_mean for v in xs]
+        for fit, column in zip(fitted.tolist(), columns.T.tolist()):
+            ys = [Fraction(v) for v in column]
+            y_mean = sum(ys) / len(ys)
+            exact = sum(a * (b - y_mean) for a, b in zip(dx, ys)) / sum(a * a for a in dx)
+            assert abs(Fraction(fit) - exact) <= Fraction(1e-15)
+
+    def test_r_eq_p_sweep_takes_the_atom_norm_once(self, monkeypatch):
+        # The atom's dual norm is cached per atom and space: a second sweep
+        # on the same atom runs no Lorentz kernel and gives the same result.
+        atom = build_atom(2)
+        first = growth_experiment(canonical_params(), atom, default_level_grid(8, 64))
+        calls = []
+        monkeypatch.setattr(sharpness, "lorentz_norm", lambda *args: calls.append(args) or lorentz_norm(*args))
+        second = growth_experiment(canonical_params(), atom, default_level_grid(8, 64))
+        assert calls == []
+        assert second.records == first.records and second.slopes == first.slopes
 
     def test_mass_underflow_is_an_arithmetic_error(self):
         # r = 4 != p = 2 merges the distribution, whose mass factors
