@@ -210,8 +210,15 @@ def _emit_suite(args: argparse.Namespace, records: list[dict]) -> int:
     return 0
 
 
-# the flags of the case exponents, by which the parameter checks name them
-_CASE_FLAGS = ("--alpha", "--beta", "--q0", "--q1")
+# the case-exponent flags of ``verify`` and ``sharpness``; the parameter
+# checks name alpha, beta, q0 and q1 by the first four
+_EXPONENT_FLAGS = ("--alpha", "--beta", "--q0", "--q1", "--r0", "--r1")
+_CASE_FLAGS = _EXPONENT_FLAGS[:4]
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -220,12 +227,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     if not (_is_power_of_two(args.grid) and args.grid >= 8):
         raise ValueError(f"--grid must be a power of two >= 8, got {args.grid}")
+    _check_seed(args.seed)
     return _emit_suite(args, run_suite(case, args.generator, args.count, args.seed, grid_points=args.grid))
 
 
 def _cmd_interp(args: argparse.Namespace) -> int:
     if not 0.0 < args.theta < 1.0:
         raise ValueError(f"--theta must lie in (0, 1), got {args.theta!r}")
+    _check_seed(args.seed)
     records = run_interp_suite(
         args.check,
         p=args.p,
@@ -314,12 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
     norm.set_defaults(func=_cmd_norm)
 
     verify = subparsers.add_parser("verify", help="randomized inequality suite")
-    verify.add_argument("--alpha", type=float, required=True)
-    verify.add_argument("--beta", type=float, required=True)
-    verify.add_argument("--q0", type=float, required=True)
-    verify.add_argument("--q1", type=float, required=True)
-    verify.add_argument("--r0", type=float, required=True)
-    verify.add_argument("--r1", type=float, required=True)
+    for flag in _EXPONENT_FLAGS:
+        verify.add_argument(flag, type=float, required=True)
     group = verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--r", type=float, default=None)
     group.add_argument(
@@ -348,12 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sharp = subparsers.add_parser("sharpness", help="extremal-family growth sweep")
     sharp.add_argument("--n", type=int, default=1)
-    sharp.add_argument("--alpha", type=float, required=True)
-    sharp.add_argument("--beta", type=float, required=True)
-    sharp.add_argument("--q0", type=float, required=True)
-    sharp.add_argument("--q1", type=float, required=True)
-    sharp.add_argument("--r0", type=float, required=True)
-    sharp.add_argument("--r1", type=float, required=True)
+    for flag in _EXPONENT_FLAGS:
+        sharp.add_argument(flag, type=float, required=True)
     sharp.add_argument("--r", type=float, default=None, help="default: composed exponent")
     sharp.add_argument("--Lmin", type=int, default=8)
     sharp.add_argument("--Lmax", type=int, default=64)

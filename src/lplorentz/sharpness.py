@@ -98,15 +98,12 @@ class Atom:
     norm.  ``rearrangement`` is the decreasing rearrangement of ``|atom|``
     sampled at 4096 midpoints; the distributions of atomic sums are exact
     merges of scaled copies of it, so they inherit its sampling error.
-    ``l2_norm_sq`` and ``l1_norm`` are stored for closed-form pairings and
-    bounds.
+    ``l2_norm_sq`` is stored for the closed-form pairing.
     """
 
     moments: int
     profile_coefficients: np.ndarray
     l2_norm_sq: float
-    l1_norm: float
-    sup_norm: float
     rearrangement: RearrangementProfile
 
     def evaluate(self, u) -> np.ndarray:
@@ -166,7 +163,7 @@ def build_atom(moments: int) -> Atom:
 
     profile_rearr = rearrangement(MeasuredValues(np.abs(samples), np.full_like(samples, cell)))
     l2_norm_sq = _polynomial_moment(profile * profile, 0)
-    return Atom(moments, profile.coef, l2_norm_sq, l1, float(np.max(np.abs(samples))), profile_rearr)
+    return Atom(moments, profile.coef, l2_norm_sq, profile_rearr)
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +262,19 @@ class AtomicSum:
     ``2**count_exps[i]`` disjointly supported translates at each scale
     ``scales[i]``; the translates are never materialized, only the closed
     forms below read the sum.  No closed form forms a count on its own, so
-    none leaves the float range.  ``scales`` and ``count_exps`` are integer
-    and float sequences: arrays, as :func:`build_closed_form_family` holds
-    them, or tuples.
+    none leaves the float range.  ``scales`` and ``count_exps`` are held as
+    ``int64`` and float arrays, whatever sequences they are given as.
     """
 
     atom: Atom
     n: int
     coeff_exp: float
-    scales: np.ndarray | tuple[int, ...]
-    count_exps: np.ndarray | tuple[float, ...]
+    scales: np.ndarray
+    count_exps: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "scales", np.asarray(self.scales, dtype=np.int64))
+        object.__setattr__(self, "count_exps", np.asarray(self.count_exps, dtype=float))
         if len(self.scales) != len(self.count_exps):
             raise ValueError("scales and count_exps must have equal length")
 
@@ -332,7 +330,7 @@ def _besov_terms(s: AtomicSum, space: BesovParams) -> tuple[float, np.ndarray]:
         )
     iq = _inv(space.p)
     slope = space.s + s.coeff_exp - s.n * iq
-    exps = np.asarray(s.scales, dtype=float) * slope + iq * np.asarray(s.count_exps, dtype=float)
+    exps = s.scales * slope + iq * s.count_exps
     constant = _atom_besov_calibration(tuple(s.atom.profile_coefficients.tolist()), space.s, space.p, space.q)
     return constant, exps
 
@@ -378,7 +376,7 @@ def _scale_factors(s: AtomicSum, top_value: float, widths: np.ndarray) -> tuple[
     low, high = float(widths.min()), float(widths.max())
     coefs, factors = [], []
     try:
-        for j, e in zip(np.asarray(s.scales).tolist(), np.asarray(s.count_exps).tolist()):
+        for j, e in zip(s.scales.tolist(), s.count_exps.tolist()):
             coef = s.coefficient(j)
             factor = 2.0 ** (e - j * s.n)
             if not (0.0 < coef * top_value < _INF and 0.0 < factor * low and factor * high < _INF):
@@ -431,8 +429,7 @@ def _dual_norms(s: AtomicSum, levels, dual: LorentzParams) -> list[float]:
     """
     if dual.r != dual.p:
         return [lorentz_norm(profile, dual) for profile in _prefix_distributions(s, levels)]
-    scales = np.asarray(s.scales, dtype=float)
-    exps = scales * s.coeff_exp + (np.asarray(s.count_exps) - scales * s.n) / dual.p + _atom_norm_log2(s.atom, dual)
+    exps = s.scales * s.coeff_exp + (s.count_exps - s.scales * s.n) / dual.p + _atom_norm_log2(s.atom, dual)
     return [2.0**e for e in _prefix_power_sums_log2(exps, levels, dual.p)]
 
 
@@ -458,7 +455,7 @@ def pairing(f: AtomicSum, g: AtomicSum) -> float:
 def _running_pairings(f: AtomicSum, g: AtomicSum) -> np.ndarray:
     """Left-to-right running sums of the :func:`pairing` terms: entry ``k`` sums the first ``k`` scales."""
     pair_exp = f.coeff_exp + g.coeff_exp - f.n
-    terms = np.exp2(np.asarray(f.count_exps, dtype=float) + np.asarray(f.scales) * pair_exp)
+    terms = np.exp2(f.count_exps + f.scales * pair_exp)
     return np.cumsum(np.concatenate(([0.0], terms)))
 
 
@@ -476,8 +473,7 @@ def default_level_grid(l_min: int, l_max: int) -> list[int]:
     for base in (l_min, round(1.5 * l_min)):
         value = base
         while value <= l_max:
-            if value >= l_min:
-                levels.add(int(value))
+            levels.add(int(value))
             value *= 2
     return sorted(levels)
 
@@ -487,7 +483,6 @@ class GrowthResult:
     """Outcome of a level sweep: per-level records with both sides of the
     inequality and fitted log-log slopes against their expected values."""
 
-    params: SharpnessParams
     levels: list[int]
     records: list[dict]
     slopes: dict[str, float]
@@ -520,12 +515,13 @@ def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResu
     off that top family in one pass: the per-scale Besov exponents and
     pairing terms are computed once, and each level takes the log-sum of its
     prefix (:func:`~lplorentz.norms._prefix_power_sums_log2`) and the
-    left-to-right running pairing sum at its last scale.  The records equal
+    left-to-right running pairing sum at its last scale.  Each quantity is
+    one column over the levels, and the records, read off the columns, equal
     :func:`atomic_besov_upper` and :func:`pairing` on each level's own
     :func:`build_closed_form_family` bit for bit.  The six slopes are the
-    closed-form least-squares slopes of the ``(levels, 6)`` matrix of their
-    base-2 logs against ``log2 L`` (:func:`_least_squares_slopes`), which may
-    round apart from a numerical ``np.polyfit`` in the last bits.
+    closed-form least-squares slopes of the C-ordered ``(levels, 6)`` matrix
+    of their base-2 logs against ``log2 L`` (:func:`_least_squares_slopes`);
+    a numerical ``np.polyfit`` may round apart from them in the last bits.
 
     Requires at least 4 levels spanning a factor of 8 (three octaves).
     """
@@ -539,34 +535,20 @@ def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResu
     f_top, g_top = build_closed_form_family(params, atom, levels[-1])
     constant0, exps0 = _besov_terms(f_top, space0)
     constant1, exps1 = _besov_terms(f_top, space1)
-    records = []
-    for level, log0, log1, running_pair, g_dual_norm in zip(
-        levels,
-        _prefix_power_sums_log2(exps0, levels, space0.q),
-        _prefix_power_sums_log2(exps1, levels, space1.q),
-        _running_pairings(f_top, g_top)[levels].tolist(),
-        _dual_norms(g_top, levels, dual),
-    ):
-        besov0 = constant0 * 2.0**log0
-        besov1 = constant1 * 2.0**log1
-        pair = running_pair * atom.l2_norm_sq
-        lorentz_lower = pair / g_dual_norm
-        rhs_product = besov0 ** (1.0 - theta) * besov1**theta
-        records.append(
-            {
-                "L": level,
-                "besov0": besov0,
-                "besov1": besov1,
-                "pairing": pair,
-                "g_dual_norm": g_dual_norm,
-                "lorentz_lower": lorentz_lower,
-                "rhs_product": rhs_product,
-                "ratio": lorentz_lower / rhs_product,
-            }
-        )
+    besov0 = np.array([constant0 * 2.0**e for e in _prefix_power_sums_log2(exps0, levels, space0.q)])
+    besov1 = np.array([constant1 * 2.0**e for e in _prefix_power_sums_log2(exps1, levels, space1.q)])
+    pair = _running_pairings(f_top, g_top)[levels] * atom.l2_norm_sq
+    g_dual_norm = np.array(_dual_norms(g_top, levels, dual))
+    rhs_product = np.array([b0 ** (1.0 - theta) * b1**theta for b0, b1 in zip(besov0.tolist(), besov1.tolist())])
+    lorentz_lower = pair / g_dual_norm
+    columns = {
+        "L": np.array(levels), "besov0": besov0, "besov1": besov1, "pairing": pair, "g_dual_norm": g_dual_norm,
+        "lorentz_lower": lorentz_lower, "rhs_product": rhs_product, "ratio": lorentz_lower / rhs_product,
+    }
+    records = [dict(zip(columns, row)) for row in zip(*(column.tolist() for column in columns.values()))]
     keys = ("besov0", "besov1", "pairing", "lorentz_lower", "rhs_product", "ratio")
-    columns = np.log2([[rec[key] for key in keys] for rec in records])
-    slopes = dict(zip(keys, _least_squares_slopes(np.log2(np.asarray(levels, dtype=float)), columns).tolist()))
+    logs = np.log2(np.column_stack([columns[key] for key in keys]))
+    slopes = dict(zip(keys, _least_squares_slopes(np.log2(np.asarray(levels, dtype=float)), logs).tolist()))
     expected = {
         "besov0": _inv(params.r0),
         "besov1": _inv(params.r1),
@@ -582,4 +564,4 @@ def growth_experiment(params: SharpnessParams, atom: Atom, levels) -> GrowthResu
             raise ArithmeticError(
                 f"fitted slope for {key} is {slopes[key]!r}, expected {want!r} within {slack!r}"
             )
-    return GrowthResult(params, levels, records, slopes, expected)
+    return GrowthResult(levels, records, slopes, expected)

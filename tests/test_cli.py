@@ -369,6 +369,14 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == f"error: --grid must be a power of two >= 8, got {grid}\n"
 
+    def test_negative_seed_names_its_flag(self, capsys):
+        args = list(self.ARGS)
+        args[args.index("--seed") + 1] = "-1"
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be non-negative, got -1\n"
+
     def test_overflowing_power_sums_leave_a_finite_seminorm(self, capsys):
         # q0 = 300 overflows the powers of the inner block sums; rescaled,
         # every right side stays finite and positive (an infinite one used to
@@ -545,6 +553,12 @@ class TestInterpCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: suite_size must be >= 1\n"
+
+    def test_negative_seed_names_its_flag(self, capsys):
+        assert main(["interp", "--check", "duality", "--suite-size", "3", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be non-negative, got -1\n"
 
 
 class TestSharpnessCommand:

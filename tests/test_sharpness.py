@@ -66,6 +66,12 @@ def reference_distribution(s):
     return rearrangement(MeasuredValues(np.concatenate(values), np.concatenate(masses)))
 
 
+def midpoint_samples(atom):
+    """The atom at the midpoints :func:`build_atom` samples it on, and their cell width."""
+    cell = 2.0 / sharpness._MIDPOINTS
+    return atom.evaluate(-1.0 + cell * (np.arange(sharpness._MIDPOINTS) + 0.5)), cell
+
+
 def pairwise_disjoint(scales, placement):
     """Brute-force oracle: ``|k1 * 2**(j2-j1) - k2| >= 2**(j2-j1) + 1`` for every pair."""
     terms = sorted((j, k) for j, ks in zip(scales, placement) for k in ks)
@@ -82,7 +88,8 @@ class TestAtom:
         atom = build_atom(2)
         assert atom.l2_norm_sq == pytest.approx(1.0, rel=1e-12)
         # Frozen from the exact polynomial profile at the default resolution.
-        assert atom.l1_norm == pytest.approx(1.2152401337753265, rel=1e-12)
+        samples, cell = midpoint_samples(atom)
+        assert float(np.sum(np.abs(samples)) * cell) == pytest.approx(1.2152401337753265, rel=1e-12)
         assert atom.moments == 2
 
     def test_vanishing_moments_exact_polynomial(self):
@@ -91,9 +98,10 @@ class TestAtom:
             cell = 2.0 / sharpness._MIDPOINTS
             u = -1.0 + cell * (np.arange(sharpness._MIDPOINTS) + 0.5)
             samples = atom.evaluate(u)
+            l1_norm = float(np.sum(np.abs(samples)) * cell)
             for gamma in range(moments):
                 numeric = float(np.sum(u**gamma * samples) * cell)
-                assert abs(numeric) <= 1e-8 * atom.l1_norm
+                assert abs(numeric) <= 1e-8 * l1_norm
 
     def test_supported_in_unit_ball(self):
         atom = build_atom(2)
@@ -105,7 +113,8 @@ class TestAtom:
     def test_rearrangement_mass_is_support_measure(self):
         atom = build_atom(2)
         assert atom.rearrangement.total_mass == pytest.approx(2.0, rel=1e-12)
-        assert float(atom.rearrangement.values[0]) == pytest.approx(atom.sup_norm, rel=1e-12)
+        sup_norm = float(np.max(np.abs(midpoint_samples(atom)[0])))
+        assert float(atom.rearrangement.values[0]) == pytest.approx(sup_norm, rel=1e-12)
 
     def test_resolution_and_argument_validation(self):
         with pytest.raises(ValueError, match=r"^moments must be >= 1$"):
@@ -235,7 +244,7 @@ class TestFamilies:
         params = canonical_params()
         atom = build_atom(2)
         f_sum, g_sum, placement, extent = build_placed_family(params, atom, 3)
-        assert f_sum.count_exps == (1.0, 1.0, math.log2(3)) == g_sum.count_exps
+        assert f_sum.count_exps.tolist() == [1.0, 1.0, math.log2(3)] == g_sum.count_exps.tolist()
         assert placement == ((3, 6), (21, 24), (65, 68, 71))
         assert place(f_sum.scales, (2, 2, 3)) == (placement, extent)
         assert verify_disjoint(f_sum.scales, placement)
@@ -442,6 +451,13 @@ class TestClosedFormNorms:
         tuple_profile, array_profile = atomic_distribution(placed.g), atomic_distribution(g_arr)
         assert np.array_equal(tuple_profile.values, array_profile.values)
         assert np.array_equal(tuple_profile.cum_masses, array_profile.cum_masses)
+
+    def test_atomic_sum_holds_arrays(self):
+        # Sums given tuples hold the same int64 and float arrays as the families.
+        s = AtomicSum(build_atom(2), 1, 0.0, (0, 1), (0.0, 1.0))
+        assert isinstance(s.scales, np.ndarray) and s.scales.dtype == np.int64
+        assert isinstance(s.count_exps, np.ndarray) and s.count_exps.dtype == np.float64
+        assert s.scales.tolist() == [0, 1] and s.count_exps.tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("q", [1.0, 2.0, INF])
     def test_empty_sum_is_zero(self, q):
